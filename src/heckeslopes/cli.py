@@ -44,7 +44,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="heckeslopes", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for internals")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker threads for Monte Carlo in stc and table"
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("polygon", help="slope multiset operations")
@@ -245,16 +247,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, DataError) as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
-    except ClosureCapExceeded as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, DataError, ClosureCapExceeded, ArithmeticError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

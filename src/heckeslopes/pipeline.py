@@ -16,10 +16,13 @@ classifies each listed prime: skipped (not split in the base field,
 ramified in the Hecke field, or carrying an index warning), degenerate
 (a_p = 0 lies in every prime, defect = full degree), or analyzed with
 its ordinariness defect k(p), Newton/Hodge polygons, Weil bound check
-and the large-prime half bound.  For monic Hecke polynomials the
-ramified and index-warning flags coincide, and ramified is tested
-first, so skipped_index does not occur for such input; it remains a
-distinct status for the report contract.
+and the large-prime half bound.  The skipped_ramified and
+skipped_index statuses are ``k_of_p``'s refusals (``RamifiedPrimeError``,
+``IndexWarningError``) at the one factorization of the Hecke
+polynomial mod p.  For monic Hecke polynomials the two conditions
+coincide and ramification is tested first, so skipped_index does not
+occur for such input; it remains a distinct status for the report
+contract.
 
 ``guarantee`` classifies what the record's metadata alone proves about
 defects and ordinary density, choosing the strongest applicable case
@@ -33,13 +36,10 @@ from __future__ import annotations
 
 import json
 import re
-import urllib.request
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .galois import (
     FACT_SLOPE_ZERO_OVER_F,
@@ -50,6 +50,8 @@ from .galois import (
     interact_rules,
 )
 from .numberfield import (
+    IndexWarningError,
+    RamifiedPrimeError,
     embeddings,
     half_bound_check,
     is_prime,
@@ -70,7 +72,6 @@ __all__ = [
     "Guarantee",
     "load_forms",
     "records_from_obj",
-    "fetch_forms",
     "analyze_form",
     "guarantee",
     "emit_report",
@@ -429,20 +430,6 @@ def load_forms(source: Union[str, Path]) -> list[FormRecord]:
     return records_from_obj(obj)
 
 
-def fetch_forms(url: str, dest: Union[str, Path], timeout: float = 30.0) -> list[FormRecord]:
-    """Optional thin retriever: download a JSON record list, validate
-    it, and write the raw bytes to ``dest``.  All regular workflows
-    read local files; this exists for mirroring endpoint data only."""
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        raw = resp.read()
-    try:
-        records = records_from_obj(json.loads(raw.decode("utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"endpoint did not return valid JSON: {exc}") from exc
-    Path(dest).write_bytes(raw)
-    return records
-
-
 # ---------------------------------------------------------------------
 # per-prime analysis
 
@@ -459,25 +446,28 @@ def _check_split_claim(rec: FormRecord, p: int, seed: int) -> None:
         )
 
 
-def _analyze_entry(rec: FormRecord, entry: ApEntry, seed: int, cross_check: bool) -> PrimeReport:
+def _analyze_entry(
+    rec: FormRecord, entry: ApEntry, hodge: Optional[SlopeMultiset], seed: int
+) -> PrimeReport:
     p = entry.p
     if not entry.split_in_F:
         return PrimeReport(p=p, status=STATUS_SKIPPED_NONSPLIT)
-    if cross_check:
-        _check_split_claim(rec, p, seed)
-    split = splitting_type(rec.hecke_poly, p, seed=seed)
-    if split.ramified:
+    _check_split_claim(rec, p, seed)
+    try:
+        defect = k_of_p(entry.a, rec.hecke_poly, p, seed=seed)
+    except RamifiedPrimeError:
         return PrimeReport(p=p, status=STATUS_SKIPPED_RAMIFIED)
-    if split.index_warning:
+    except IndexWarningError:
         return PrimeReport(p=p, status=STATUS_SKIPPED_INDEX)
+    except ValueError as exc:
+        # the record's degree and primality are validated on load, so
+        # what remains is the data: a non-integral a_p
+        raise DataError(f"record {rec.label!r}, p={p}: {exc}") from exc
 
     w = rec.motivic_weight
     k_f = rec.k_f
-    hodge = hodge_polygon(rec.d, k_f, w)
     roots = _embedding_cache(rec)
     weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=w, roots=roots)
-
-    defect = k_of_p(entry.a, rec.hecke_poly, p, seed=seed)
     newton = frobenius_polygon(rec.d, k_f, defect.k, w)
     assert hodge.leq_strict(newton), "Hodge polygon must lie on or below Newton"
     if defect.all_primes:
@@ -515,29 +505,27 @@ def _embedding_cache(rec: FormRecord) -> tuple[complex, ...]:
     return _EMBEDDING_CACHE[key]
 
 
-def analyze_form(
-    rec: FormRecord,
-    seed: int = 0,
-    threads: int = 1,
-    cross_check: bool = True,
-) -> FormAnalysis:
+def analyze_form(rec: FormRecord, seed: int = 0, threads: int = 1) -> FormAnalysis:
     """Classify every listed prime of one record and summarize.
 
-    Deterministic for a given (record, seed); ``threads`` only
-    parallelizes the per-prime work (order-stable merge).  Degenerate
-    a_p = 0 primes count as analyzed-and-not-ordinary in the summary;
-    their own rows keep the ``degenerate_ap_zero`` status.
+    Deterministic for a given (record, seed).  Analysis always runs
+    serially: ``threads`` must be >= 1 and does not change the work.
+    Every ``split_in_F`` claim is cross-checked against the base field
+    polynomial (``DataError`` on a false claim or a non-integral a_p).
+    Degenerate a_p = 0 primes count as analyzed-and-not-ordinary in the
+    summary; their own rows keep the ``degenerate_ap_zero`` status.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     entries = rec.eigenvalues
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = tuple(
-                pool.map(lambda e: _analyze_entry(rec, e, seed, cross_check), entries)
-            )
-    else:
-        reports = tuple(_analyze_entry(rec, e, seed, cross_check) for e in entries)
+    # constant per record; skipped when no listed prime can reach the
+    # analysis, since its size grows as 2**d
+    hodge = (
+        hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
+        if any(e.split_in_F for e in entries)
+        else None
+    )
+    reports = tuple(_analyze_entry(rec, e, hodge, seed) for e in entries)
 
     counted = [r for r in reports if r.status in (STATUS_ANALYZED, STATUS_DEGENERATE_AP_ZERO)]
     n_analyzed = len(counted)

@@ -216,6 +216,19 @@ class TestAnalyze:
         assert err.startswith("error: data:")
         assert "weight" in err
 
+    def test_non_integral_ap_is_data_error(self, capsys, tmp_path):
+        bad = dict(
+            FORM,
+            hecke_poly=[-5, 0, 1],
+            ap=[{"p": 3, "split_in_F": True, "a": ["1/2", "0"]}],
+        )
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([bad]))
+        code, _, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert err.startswith("error: data:")
+        assert "'demo.sqrt2'" in err and "p=3" in err
+
 
 class TestClassify:
     def test_line_format(self, capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Eigenform ingestion, per-prime analysis, classification, reports."""
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from heckeslopes import numberfield
 from heckeslopes.pipeline import (
     CASE_BISECTION,
     CASE_CM,
@@ -26,7 +28,6 @@ from heckeslopes.pipeline import (
     SchemaError,
     analyze_form,
     emit_report,
-    fetch_forms,
     guarantee,
     load_forms,
     record_from_dict,
@@ -35,6 +36,10 @@ from heckeslopes.pipeline import (
 )
 from heckeslopes.polygon import SlopeMultiset, frobenius_polygon
 
+# Records covering every per-prime status, weight 3 and a degree-2 base
+# field, with the TSV/JSON reports they produced before the per-prime
+# analysis was reduced to one factorization.
+DATA = Path(__file__).resolve().parent / "data"
 
 def minimal_dict(**overrides):
     rec = {
@@ -172,18 +177,6 @@ class TestSchema:
         assert first == second
         assert first[1].interact.disc_K == 8
 
-    def test_fetch_from_file_url(self, tmp_path):
-        src = tmp_path / "src.json"
-        src.write_text(json.dumps([minimal_dict()]))
-        dest = tmp_path / "fetched.json"
-        recs = fetch_forms(src.as_uri(), dest)
-        assert len(recs) == 1
-        assert load_forms(dest) == recs
-
-    def test_fetch_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
-            fetch_forms((tmp_path / "absent.json").as_uri(), tmp_path / "out.json")
-
 
 class TestAnalysis:
     def test_statuses(self):
@@ -265,8 +258,6 @@ class TestAnalysis:
         )
         with pytest.raises(DataError):
             analyze_form(rec)
-        analysis = analyze_form(rec, cross_check=False)
-        assert analysis.reports[0].status == STATUS_ANALYZED
 
     def test_split_claim_accepts_true_split(self):
         rec = record_from_dict(
@@ -281,6 +272,29 @@ class TestAnalysis:
     def test_threads_do_not_change_result(self):
         rec = record_from_dict(sqrt2_dict())
         assert analyze_form(rec, threads=4) == analyze_form(rec, threads=1)
+
+    def test_non_integral_ap_is_data_error(self):
+        rec = record_from_dict(
+            sqrt2_dict(ap=[{"p": 3, "split_in_F": True, "a": ["1/2", "0"]}])
+        )
+        with pytest.raises(DataError, match=r"'demo.sqrt2', p=3: element is not integral"):
+            analyze_form(rec)
+
+    def test_hecke_polynomial_factored_once_per_split_prime(self, monkeypatch):
+        factored = []
+        real = numberfield.factor_mod_p
+
+        def counting(f, p, seed=0):
+            factored.append((tuple(f), p))
+            return real(f, p, seed=seed)
+
+        monkeypatch.setattr(numberfield, "factor_mod_p", counting)
+        for rec in load_forms(DATA / "golden_forms.json"):
+            assert rec.field_poly != rec.hecke_poly
+            factored.clear()
+            analyze_form(rec)
+            split = [e.p for e in rec.eigenvalues if e.split_in_F]
+            assert [p for f, p in factored if f == rec.hecke_poly] == split
 
 
 class TestGuarantee:
@@ -523,6 +537,11 @@ class TestReports:
             "skipped_ramified", "analyzed", "skipped_nonsplit", "analyzed",
             "degenerate_ap_zero",
         ]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_report_matches_golden_bytes(self, fmt):
+        analyses = [analyze_form(rec) for rec in load_forms(DATA / "golden_forms.json")]
+        assert emit_report(analyses, fmt=fmt) == (DATA / f"golden_report.{fmt}").read_bytes()
 
     def test_reports_byte_identical(self):
         analysis = analyze_form(record_from_dict(sqrt2_dict()))
