@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
 from ._arith import is_prime
 
 __all__ = [
@@ -322,13 +320,23 @@ def _coords(a: Sequence[Coord], n: int) -> list[Fraction]:
     return coords
 
 
+def _require_integer_coords(coords: Sequence[Fraction]) -> None:
+    # Z[x] can be smaller than the ring of integers: (1 + x)/2 over
+    # x^2 - 5 is integral but has denominators here
+    if any(c.denominator != 1 for c in coords):
+        raise ValueError(
+            "coordinates must be integers in the power basis of the defining "
+            "polynomial (elements of the maximal order outside Z[x] are not "
+            "supported yet)"
+        )
+
+
 def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
     """Whether the integral element with power-basis coordinates ``a``
     lies in the prime (p, g(x)) — i.e. its reduction mod p is divisible
     by the residue factor ``g``."""
     coords = [Fraction(c) for c in a]
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("element is not integral: coordinates must be integers")
+    _require_integer_coords(coords)
     apoly = _reduce([int(c) for c in coords], p)
     if not apoly:
         return True
@@ -359,8 +367,7 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int, seed: int = 0) -> Defect:
         raise IndexWarningError(f"p={p} divides disc of the defining polynomial")
     n = _deg(list(f))
     coords = _coords(a, n)
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("element is not integral: coordinates must be integers")
+    _require_integer_coords(coords)
     if all(c == 0 for c in coords):
         return Defect(n, True)
     k = 0
@@ -438,6 +445,8 @@ def embeddings(f: IntPoly, tol: float = 1e-9) -> tuple[complex, ...]:
     field element x).  Roots are located with the companion matrix and
     real roots are then refined by exact-sign bisection to within
     ``tol``, so real embeddings carry guaranteed accuracy."""
+    import numpy as np
+
     f = list(f)
     coeffs = f[::-1]
     roots = np.roots(coeffs)

@@ -461,15 +461,19 @@ def _analyze_entry(
         return PrimeReport(p=p, status=STATUS_SKIPPED_INDEX)
     except ValueError as exc:
         # the record's degree and primality are validated on load, so
-        # what remains is the data: a non-integral a_p
-        raise DataError(f"record {rec.label!r}, p={p}: {exc}") from exc
+        # what remains is the data: an a_p with non-integer coordinates
+        raise DataError(f"record {rec.label!r}, p={p}: a_p over hecke_poly: {exc}") from exc
 
     w = rec.motivic_weight
     k_f = rec.k_f
     roots = _embedding_cache(rec)
     weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=w, roots=roots)
     newton = frobenius_polygon(rec.d, k_f, defect.k, w)
-    assert hodge.leq_strict(newton), "Hodge polygon must lie on or below Newton"
+    if not hodge.leq_strict(newton):
+        raise ArithmeticError(
+            f"record {rec.label!r}, p={p}: the Newton polygon does not lie on or "
+            "above the Hodge polygon with the same endpoints"
+        )
     if defect.all_primes:
         return PrimeReport(
             p=p,
@@ -511,7 +515,8 @@ def analyze_form(rec: FormRecord, seed: int = 0, threads: int = 1) -> FormAnalys
     Deterministic for a given (record, seed).  Analysis always runs
     serially: ``threads`` must be >= 1 and does not change the work.
     Every ``split_in_F`` claim is cross-checked against the base field
-    polynomial (``DataError`` on a false claim or a non-integral a_p).
+    polynomial (``DataError`` on a false claim or on an a_p whose
+    coordinates are not integers).
     Degenerate a_p = 0 primes count as analyzed-and-not-ordinary in the
     summary; their own rows keep the ``degenerate_ap_zero`` status.
     """

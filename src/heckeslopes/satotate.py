@@ -18,17 +18,20 @@ asymptotically 1/(pi * 2^(k-2)).  For t = k the constraint is vacuous
 simulated.  Other entries are estimated by vectorized rejection-
 sampling Monte Carlo over deterministic substreams, or for t <= 2 by
 deterministic quadrature.
+
+numpy is imported only when Monte Carlo runs and SciPy only when
+quadrature does, so importing this module and the closed forms load
+neither.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import asin, pi, sqrt
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-from scipy import integrate
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "density",
@@ -66,6 +69,8 @@ def cdf(y: float) -> float:
 def sample(rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` semicircle variates by rejection from the uniform
     envelope on [-2, 2] (acceptance rate pi/4)."""
+    import numpy as np
+
     out = np.empty(size)
     have = 0
     while have < size:
@@ -126,6 +131,8 @@ def _check_domain(k: int, t: int) -> None:
 
 
 def _mc_estimate(k, t, samples, seed, substreams, threads):
+    import numpy as np
+
     if samples < substreams:
         substreams = max(1, samples)
     sizes = [samples // substreams] * substreams
@@ -142,6 +149,8 @@ def _mc_estimate(k, t, samples, seed, substreams, threads):
         return int(np.count_nonzero(prod < threshold))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(run, range(substreams)))
     else:
@@ -157,6 +166,8 @@ def _mc_estimate(k, t, samples, seed, substreams, threads):
 
 
 def _quadrature_estimate(k: int, t: int):
+    from scipy import integrate
+
     c = 2.0 ** (t - k)
     if t == 1:
         value, abserr, info = integrate.quad(density, -c, c, full_output=1)

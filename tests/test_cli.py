@@ -12,8 +12,10 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
+from heckeslopes import pipeline
 from heckeslopes.cli import main
 from heckeslopes.pipeline import analyze_form, emit_report, load_forms
+from heckeslopes.polygon import SlopeMultiset, hodge_polygon
 
 FORM = {
     "label": "demo.sqrt2",
@@ -35,6 +37,15 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# same rank and endpoint as FORM's Hodge polygon 0,0,1,1, but below it
+BELOW_HODGE_SLOPES = [-1, 0, 1, 2]
+BELOW_HODGE = SlopeMultiset(BELOW_HODGE_SLOPES)
+NEWTON_BELOW_HODGE_ERROR = (
+    "error: data: record 'demo.sqrt2', p=3: the Newton polygon does not lie on or "
+    "above the Hodge polygon with the same endpoints\n"
+)
 
 
 @pytest.fixture
@@ -229,6 +240,32 @@ class TestAnalyze:
         assert err.startswith("error: data:")
         assert "'demo.sqrt2'" in err and "p=3" in err
 
+    def test_algebraic_integer_outside_power_basis_order_is_data_error(self, capsys, tmp_path):
+        # (1 + sqrt 5)/2 is an algebraic integer but not in Z[x]/(x^2 - 5)
+        golden_ratio = dict(
+            FORM,
+            hecke_poly=[-5, 0, 1],
+            ap=[{"p": 3, "split_in_F": True, "a": ["1/2", "1/2"]}],
+        )
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps([golden_ratio]))
+        code, _, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert err == (
+            "error: data: record 'demo.sqrt2', p=3: a_p over hecke_poly: coordinates must "
+            "be integers in the power basis of the defining polynomial (elements of the "
+            "maximal order outside Z[x] are not supported yet)\n"
+        )
+
+    def test_newton_below_hodge_is_data_error(self, capsys, forms_file, monkeypatch):
+        hodge = hodge_polygon(FORM["d"], len(FORM["hecke_poly"]) - 1)
+        assert hodge.rank == BELOW_HODGE.rank and hodge.integral == BELOW_HODGE.integral
+        assert not hodge.leq(BELOW_HODGE)
+        monkeypatch.setattr(pipeline, "frobenius_polygon", lambda d, k, i, weight=2: BELOW_HODGE)
+        code, _, err = run(capsys, ["analyze", str(forms_file)])
+        assert code == 2
+        assert err == NEWTON_BELOW_HODGE_ERROR
+
 
 class TestClassify:
     def test_line_format(self, capsys, tmp_path):
@@ -299,3 +336,59 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "-1,0\n"
+
+
+def run_fresh(script, argv, cwd, flags=()):
+    """Run ``python [flags] -c script argv...`` in a fresh interpreter
+    that imports this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["polygon", "--op", "dual", "--a", "0,1"], ""),
+        (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ""),
+        (["classify", "FORMS"], ""),
+        (["analyze", "FORMS"], "numpy"),
+        (["table", "--max-k", "3", "--samples", "2000"], "numpy"),
+        (["stc", "--k", "3", "--t", "2", "--method", "quadrature"], "numpy,scipy"),
+    ],
+    ids=["polygon", "slope", "classify", "analyze", "table", "stc-quadrature"],
+)
+def test_heavy_imports_only_where_used(forms_file, argv, loaded):
+    """numpy and SciPy are loaded only by the commands that compute
+    with them: a fresh process lists what a command left in
+    ``sys.modules``."""
+    script = (
+        "import sys; from heckeslopes.cli import main; code = main(sys.argv[1:]); "
+        "print('loaded=' + ','.join(m for m in ('numpy', 'scipy') if m in sys.modules), "
+        "file=sys.stderr); sys.exit(code)"
+    )
+    argv = [str(forms_file) if a == "FORMS" else a for a in argv]
+    proc = run_fresh(script, argv, forms_file.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"loaded={loaded}"
+
+
+def test_newton_below_hodge_is_data_error_under_optimize(forms_file):
+    """The Hodge/Newton check is not an ``assert``: ``python -O`` keeps it."""
+    script = (
+        "import sys; from heckeslopes import pipeline; from heckeslopes.cli import main; "
+        "from heckeslopes.polygon import SlopeMultiset; "
+        f"pipeline.frobenius_polygon = lambda d, k, i, weight=2: SlopeMultiset({BELOW_HODGE_SLOPES}); "
+        "print(sys.flags.optimize); sys.exit(main(sys.argv[1:]))"
+    )
+    proc = run_fresh(script, ["analyze", str(forms_file)], forms_file.parent, flags=["-O"])
+    assert proc.stdout == "1\n"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == NEWTON_BELOW_HODGE_ERROR

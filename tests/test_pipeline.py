@@ -277,7 +277,7 @@ class TestAnalysis:
         rec = record_from_dict(
             sqrt2_dict(ap=[{"p": 3, "split_in_F": True, "a": ["1/2", "0"]}])
         )
-        with pytest.raises(DataError, match=r"'demo.sqrt2', p=3: element is not integral"):
+        with pytest.raises(DataError, match=r"'demo.sqrt2', p=3: a_p over hecke_poly: coordinates must be integers"):
             analyze_form(rec)
 
     def test_hecke_polynomial_factored_once_per_split_prime(self, monkeypatch):
