@@ -43,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="heckeslopes", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed for the Monte Carlo runs of stc and table"
+    )
     parser.add_argument(
         "--threads", type=int, default=1, help="worker threads for Monte Carlo in stc and table"
     )
@@ -210,9 +212,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = load_forms(args.file)
-    analyses = [
-        analyze_form(rec, seed=args.seed, threads=args.threads) for rec in records
-    ]
+    analyses = [analyze_form(rec, threads=args.threads) for rec in records]
     payload = emit_report(analyses, fmt=args.format)
     if args.out:
         with open(args.out, "wb") as fh:

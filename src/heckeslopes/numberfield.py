@@ -6,22 +6,28 @@ integer polynomial ``f``; polynomials are coefficient sequences in
 the power basis 1, x, ..., x^(deg f - 1).
 
 For an unramified rational prime ``p`` the primes of K above ``p``
-correspond to the monic irreducible factors of ``f`` mod ``p``
-(residue degree = factor degree), so questions about an algebraic
-integer ``a`` lying in a prime above ``p`` reduce to polynomial
-remainders mod ``(p, g_i)``.  The central quantity is::
+correspond to the monic irreducible factors ``g_i`` of ``f`` mod ``p``
+(residue degree = factor degree), and an algebraic integer ``a`` lies
+in the prime (p, g_i) exactly when ``g_i`` divides ``a`` mod ``p``.
+The central quantity is::
 
     defect k(p) = sum of residue degrees of the primes above p
                   that contain a
 
 (0 exactly when ``a`` is a unit at every prime above ``p``, i.e. the
 ordinary case; ``a = 0`` lies in every prime and the full degree is
-returned with a flag).
+returned with a flag).  When ``f`` mod ``p`` is squarefree its
+factors are distinct, so k(p) = deg gcd(f mod p, a mod p) (Cohen, *A
+Course in Computational Algebraic Number Theory*, 3.4): ``k_of_p``
+takes one gcd and never factors.  In the same way ``splits_completely``
+counts the roots of ``f`` mod ``p`` as deg gcd(x^p - x, f mod p).
 
-Factorization mod p is squarefree decomposition, then distinct-degree
-splitting, then randomized equal-degree splitting; the randomness is a
-seeded stream so results are reproducible bit for bit, and the factor
-multiset is independent of the seed.
+Factorization mod p, used only by ``splitting_type`` (and so by
+callers that want the shape of ``p`` itself), is squarefree
+decomposition, then distinct-degree splitting, then randomized
+equal-degree splitting; the randomness is a seeded stream so results
+are reproducible bit for bit, and the factor multiset is independent
+of the seed.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "Defect",
     "k_of_p",
     "is_ordinary",
+    "splits_completely",
     "weil_bound_check",
     "half_bound_check",
     "discriminant",
@@ -289,16 +296,20 @@ class PrimeSplitting:
     index_warning: bool
 
 
+def _require_monic_and_prime(f: IntPoly, p: int) -> None:
+    if not f or f[-1] != 1:
+        raise ValueError("defining polynomial must be monic")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def splitting_type(f: IntPoly, p: int, seed: int = 0) -> PrimeSplitting:
     """Factor the defining polynomial mod ``p`` and package the shape.
 
     ``f`` must be monic (the caller asserts irreducibility over Q).
     The degree identity sum(e_i * f_i) = deg f always holds.
     """
-    if not f or f[-1] != 1:
-        raise ValueError("defining polynomial must be monic")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_monic_and_prime(f, p)
     factors = tuple(factor_mod_p(f, p, seed=seed))
     ramified = any(e > 1 for _, e in factors)
     # p | disc(f) iff gcd(f, f') mod p is nonconstant, which for monic f
@@ -351,37 +362,55 @@ class Defect(NamedTuple):
     all_primes: bool
 
 
-def k_of_p(a: Sequence[Coord], f: IntPoly, p: int, seed: int = 0) -> Defect:
+def _squarefree_reduction(f: IntPoly, p: int) -> list[int]:
+    """``f`` mod ``p`` for monic ``f``, refusing ``p`` (with
+    ``RamifiedPrimeError``) when it has a repeated factor, i.e. when
+    gcd(f, f') mod p is nonconstant, i.e. when p | disc(f)."""
+    _require_monic_and_prime(f, p)
+    fb = _reduce(f, p)
+    if _deg(_gcd(fb, _deriv(fb, p), p)) > 0:
+        # the Dedekind criterion will separate genuine ramification
+        # from index divisors (IndexWarningError) here
+        raise RamifiedPrimeError(f"p={p} ramifies in the field")
+    return fb
+
+
+def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     """Ordinariness defect of ``a`` at ``p``: sum of residue degrees f_i
     over the primes (p, g_i) that contain ``a``.
 
-    Refuses ramified primes and index-warning primes (the residue
-    correspondence is unreliable there).  The zero element lies in
-    every prime: the full field degree is returned with
-    ``all_primes=True`` rather than silently.
+    Refuses primes dividing disc(f) (the residue correspondence is
+    unreliable there).  Otherwise f mod p is squarefree and the defect
+    is deg gcd(f mod p, a mod p), so nothing is factored.  The zero
+    element lies in every prime: the full field degree is returned
+    with ``all_primes=True`` rather than silently.
     """
-    split = splitting_type(f, p, seed=seed)
-    if split.ramified:
-        raise RamifiedPrimeError(f"p={p} ramifies in the field")
-    if split.index_warning:
-        raise IndexWarningError(f"p={p} divides disc of the defining polynomial")
+    fb = _squarefree_reduction(f, p)
     n = _deg(list(f))
     coords = _coords(a, n)
     _require_integer_coords(coords)
     if all(c == 0 for c in coords):
         return Defect(n, True)
-    k = 0
-    for g, _ in split.factors:
-        if element_in_prime(coords, g, p):
-            k += len(g) - 1
-    return Defect(k, False)
+    # a = 0 mod p gives gcd(fb, 0) = fb: every prime above p
+    apoly = _reduce([int(c) for c in coords], p)
+    return Defect(_deg(_gcd(fb, apoly, p)), False)
 
 
-def is_ordinary(a: Sequence[Coord], f: IntPoly, p: int, seed: int = 0) -> bool:
+def is_ordinary(a: Sequence[Coord], f: IntPoly, p: int) -> bool:
     """True when ``a`` is nonzero and avoids every prime above ``p``
     (defect zero)."""
-    defect = k_of_p(a, f, p, seed=seed)
+    defect = k_of_p(a, f, p)
     return (not defect.all_primes) and defect.k == 0
+
+
+def splits_completely(f: IntPoly, p: int) -> bool:
+    """Whether monic ``f`` splits into distinct linear factors mod
+    ``p``: deg gcd(x^p - x, f mod p) = deg f.  Refuses ``p`` like
+    ``k_of_p`` when f mod p has a repeated factor."""
+    fb = _squarefree_reduction(f, p)
+    x = [0, 1]
+    roots = _gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)
+    return _deg(roots) == _deg(fb)
 
 
 # ---------------------------------------------------------------------

@@ -18,11 +18,10 @@ ramified in the Hecke field, or carrying an index warning), degenerate
 its ordinariness defect k(p), Newton/Hodge polygons, Weil bound check
 and the large-prime half bound.  The skipped_ramified and
 skipped_index statuses are ``k_of_p``'s refusals (``RamifiedPrimeError``,
-``IndexWarningError``) at the one factorization of the Hecke
-polynomial mod p.  For monic Hecke polynomials the two conditions
-coincide and ramification is tested first, so skipped_index does not
-occur for such input; it remains a distinct status for the report
-contract.
+``IndexWarningError``) when p divides the discriminant of the Hecke
+polynomial.  Today every such p is refused as ramified, so
+skipped_index does not occur; it remains a distinct status for the
+report contract.
 
 ``guarantee`` classifies what the record's metadata alone proves about
 defects and ordinary density, choosing the strongest applicable case
@@ -56,7 +55,7 @@ from .numberfield import (
     half_bound_check,
     is_prime,
     k_of_p,
-    splitting_type,
+    splits_completely,
     weil_bound_check,
 )
 from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon
@@ -433,28 +432,27 @@ def load_forms(source: Union[str, Path]) -> list[FormRecord]:
 # ---------------------------------------------------------------------
 # per-prime analysis
 
-def _check_split_claim(rec: FormRecord, p: int, seed: int) -> None:
-    split = splitting_type(rec.field_poly, p, seed=seed)
-    if split.ramified:
-        # ramified presentation: the factor shapes cannot certify the
-        # claim either way, and the analysis never uses field_poly
+def _check_split_claim(rec: FormRecord, p: int) -> None:
+    try:
+        split = splits_completely(rec.field_poly, p)
+    except RamifiedPrimeError:
+        # field_poly has a repeated factor mod p: its roots cannot
+        # certify the claim either way, and the analysis never uses it
         return
-    if len(split.factors) != rec.d or any(deg != 1 for deg in split.residue_degrees):
+    if not split:
         raise DataError(
             f"record {rec.label!r}: p={p} is flagged split_in_F but the base "
             "field polynomial does not split into distinct linear factors mod p"
         )
 
 
-def _analyze_entry(
-    rec: FormRecord, entry: ApEntry, hodge: Optional[SlopeMultiset], seed: int
-) -> PrimeReport:
+def _analyze_entry(rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset) -> PrimeReport:
     p = entry.p
     if not entry.split_in_F:
         return PrimeReport(p=p, status=STATUS_SKIPPED_NONSPLIT)
-    _check_split_claim(rec, p, seed)
+    _check_split_claim(rec, p)
     try:
-        defect = k_of_p(entry.a, rec.hecke_poly, p, seed=seed)
+        defect = k_of_p(entry.a, rec.hecke_poly, p)
     except RamifiedPrimeError:
         return PrimeReport(p=p, status=STATUS_SKIPPED_RAMIFIED)
     except IndexWarningError:
@@ -509,11 +507,11 @@ def _embedding_cache(rec: FormRecord) -> tuple[complex, ...]:
     return _EMBEDDING_CACHE[key]
 
 
-def analyze_form(rec: FormRecord, seed: int = 0, threads: int = 1) -> FormAnalysis:
+def analyze_form(rec: FormRecord, threads: int = 1) -> FormAnalysis:
     """Classify every listed prime of one record and summarize.
 
-    Deterministic for a given (record, seed).  Analysis always runs
-    serially: ``threads`` must be >= 1 and does not change the work.
+    Deterministic for a given record.  Analysis always runs serially:
+    ``threads`` must be >= 1 and does not change the work.
     Every ``split_in_F`` claim is cross-checked against the base field
     polynomial (``DataError`` on a false claim or on an a_p whose
     coordinates are not integers).
@@ -522,15 +520,8 @@ def analyze_form(rec: FormRecord, seed: int = 0, threads: int = 1) -> FormAnalys
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    entries = rec.eigenvalues
-    # constant per record; skipped when no listed prime can reach the
-    # analysis, since its size grows as 2**d
-    hodge = (
-        hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
-        if any(e.split_in_F for e in entries)
-        else None
-    )
-    reports = tuple(_analyze_entry(rec, e, hodge, seed) for e in entries)
+    hodge = hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
+    reports = tuple(_analyze_entry(rec, e, hodge) for e in rec.eigenvalues)
 
     counted = [r for r in reports if r.status in (STATUS_ANALYZED, STATUS_DEGENERATE_AP_ZERO)]
     n_analyzed = len(counted)

@@ -17,15 +17,22 @@ holds when the polygon of ``T`` lies on or above the polygon of ``S``
 at every integer abscissa, i.e. every partial sum of the sorted slopes
 of ``T`` dominates the corresponding partial sum for ``S``.
 
+A multiset is stored as its sorted runs ``(slope, multiplicity)``, one
+per distinct slope, so the geometry (``vertices``, ``integral``,
+``rank``, ``leq``) costs O(runs) however large the multiplicities
+are; only ``slopes``, iteration, ``str`` and ``cumulative_points``
+expand the list.
+
 ``frobenius_polygon`` builds the standard two-block families used for
-crystalline Frobenius slopes of eigenforms, and ``hodge_polygon`` their
-fully ordinary member.
+crystalline Frobenius slopes of eigenforms, in closed form, and
+``hodge_polygon`` their fully ordinary member.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import comb
+from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction, str]
 
@@ -48,19 +55,18 @@ class SlopeMultiset:
     ((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), (Fraction(3, 1), Fraction(2, 1)), (Fraction(4, 1), Fraction(4, 1)))
     """
 
-    __slots__ = ("_slopes",)
+    __slots__ = ("_runs",)
 
     def __init__(self, slopes: Iterable[Rational] = ()):
-        converted = []
-        for s in slopes:
-            if isinstance(s, float):
-                # binary floats are almost never the rational the caller
-                # meant; insist on Fraction/int/str to keep slopes exact
-                raise TypeError(
-                    f"slope {s!r} is a float; pass a Fraction, int, or string"
-                )
-            converted.append(Fraction(s))
-        self._slopes = tuple(sorted(converted))
+        self._runs = _runs_of((_exact(s), 1) for s in slopes)
+
+    @classmethod
+    def _from_pairs(cls, pairs: Iterable[tuple[Fraction, int]]) -> "SlopeMultiset":
+        """Multiset holding each Fraction ``s`` of the ``(s, m)`` pairs
+        ``m`` times."""
+        out = cls.__new__(cls)
+        out._runs = _runs_of(pairs)
+        return out
 
     @classmethod
     def from_string(cls, text: str) -> "SlopeMultiset":
@@ -75,34 +81,34 @@ class SlopeMultiset:
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
-        return self._slopes
+        return tuple(s for s, m in self._runs for _ in range(m))
 
     @property
     def rank(self) -> int:
         """Number of slopes, counted with multiplicity."""
-        return len(self._slopes)
+        return sum(m for _, m in self._runs)
 
     @property
     def integral(self) -> Fraction:
         """Sum of all slopes = height of the polygon's right endpoint."""
-        return sum(self._slopes, Fraction(0))
+        return sum((s * m for s, m in self._runs), Fraction(0))
 
     def __len__(self) -> int:
-        return len(self._slopes)
+        return self.rank
 
     def __iter__(self):
-        return iter(self._slopes)
+        return iter(self.slopes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlopeMultiset):
             return NotImplemented
-        return self._slopes == other._slopes
+        return self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self._slopes)
+        return hash(self._runs)
 
     def __str__(self) -> str:
-        return ",".join(str(s) for s in self._slopes)
+        return ",".join(text for s, m in self._runs for text in [str(s)] * m)
 
     def __repr__(self) -> str:
         return f"SlopeMultiset('{self}')"
@@ -111,7 +117,7 @@ class SlopeMultiset:
 
     def oplus(self, other: "SlopeMultiset") -> "SlopeMultiset":
         """Multiset union (concatenation of slope lists)."""
-        return SlopeMultiset(self._slopes + other._slopes)
+        return SlopeMultiset._from_pairs(self._runs + other._runs)
 
     def otimes(self, other: "SlopeMultiset") -> "SlopeMultiset":
         """Multiset of all pairwise sums.
@@ -119,26 +125,28 @@ class SlopeMultiset:
         The result has rank ``self.rank * other.rank``; the empty
         multiset annihilates, ``{0}`` is the identity.
         """
-        return SlopeMultiset(a + b for a in self._slopes for b in other._slopes)
+        return SlopeMultiset._from_pairs(
+            (a + b, m * n) for a, m in self._runs for b, n in other._runs
+        )
 
     __add__ = oplus
     __mul__ = otimes
 
     def dual(self) -> "SlopeMultiset":
         """Entrywise negation."""
-        return SlopeMultiset(-s for s in self._slopes)
+        return SlopeMultiset._from_pairs((-s, m) for s, m in self._runs)
 
     def scale(self, c: Rational) -> "SlopeMultiset":
         """Multiply every slope by the rational ``c``."""
         c = Fraction(c)
-        return SlopeMultiset(c * s for s in self._slopes)
+        return SlopeMultiset._from_pairs((c * s, m) for s, m in self._runs)
 
     def pow_oplus(self, k: int) -> "SlopeMultiset":
         """``k``-fold multiset union with itself; ``k = 0`` gives the
         empty multiset."""
         if k < 0:
             raise ValueError("pow_oplus needs k >= 0")
-        return SlopeMultiset(self._slopes * k)
+        return SlopeMultiset._from_pairs((s, m * k) for s, m in self._runs)
 
     def pow_otimes(self, k: int) -> "SlopeMultiset":
         """``k``-fold pairwise-sum power; ``k = 0`` gives ``{0}``, the
@@ -157,7 +165,7 @@ class SlopeMultiset:
         one per slope plus the origin (no merging of equal slopes)."""
         pts = [(Fraction(0), Fraction(0))]
         y = Fraction(0)
-        for i, s in enumerate(self._slopes, start=1):
+        for i, s in enumerate(self.slopes, start=1):
             y += s
             pts.append((Fraction(i), y))
         return tuple(pts)
@@ -169,17 +177,10 @@ class SlopeMultiset:
         pts = [(Fraction(0), Fraction(0))]
         x = Fraction(0)
         y = Fraction(0)
-        slopes = self._slopes
-        i = 0
-        while i < len(slopes):
-            j = i
-            while j < len(slopes) and slopes[j] == slopes[i]:
-                j += 1
-            run = j - i
-            x += run
-            y += slopes[i] * run
+        for s, m in self._runs:
+            x += m
+            y += s * m
             pts.append((x, y))
-            i = j
         return tuple(pts)
 
     def has_integral_breakpoints(self) -> bool:
@@ -195,21 +196,56 @@ class SlopeMultiset:
         lies on or above this one, i.e. every partial sum of the sorted
         slopes of ``other`` is >= the corresponding partial sum here.
         Endpoints need not match; see ``leq_strict`` for that."""
-        if len(self._slopes) != len(other._slopes):
-            return False
-        a = Fraction(0)
-        b = Fraction(0)
-        for s, t in zip(self._slopes, other._slopes):
-            a += s
-            b += t
-            if b < a:
-                return False
-        return True
+        return self._walk_below(other) is not None
 
     def leq_strict(self, other: "SlopeMultiset") -> bool:
         """``leq`` plus equality of the right endpoints (equal
         integrals)."""
-        return self.integral == other.integral and self.leq(other)
+        ends = self._walk_below(other)
+        return ends is not None and ends[0] == ends[1]
+
+    def _walk_below(self, other: "SlopeMultiset") -> Optional[tuple[Fraction, Fraction]]:
+        """The right-endpoint heights of both polygons when ``self.leq(other)``,
+        else None.  Both polygons are linear between the union of their
+        breakpoints, so the heights are compared only there, in one
+        merge walk over the two run lists."""
+        if self.rank != other.rank:
+            return None
+        mine, theirs = self._runs, other._runs
+        i = j = 0
+        used_a = used_b = 0  # slopes of the current runs already walked
+        a = b = Fraction(0)
+        while i < len(mine):
+            (sa, ma), (sb, mb) = mine[i], theirs[j]
+            step = min(ma - used_a, mb - used_b)
+            a += sa * step
+            b += sb * step
+            if b < a:
+                return None
+            used_a += step
+            used_b += step
+            if used_a == ma:
+                i, used_a = i + 1, 0
+            if used_b == mb:
+                j, used_b = j + 1, 0
+        return a, b
+
+
+def _exact(s: Rational) -> Fraction:
+    if isinstance(s, float):
+        # binary floats are almost never the rational the caller
+        # meant; insist on Fraction/int/str to keep slopes exact
+        raise TypeError(f"slope {s!r} is a float; pass a Fraction, int, or string")
+    return Fraction(s)
+
+
+def _runs_of(pairs: Iterable[tuple[Fraction, int]]) -> tuple[tuple[Fraction, int], ...]:
+    """Sorted runs of the multiset holding each ``s`` of the ``(s, m)``
+    pairs ``m`` times: equal slopes add up, empty runs are dropped."""
+    counts: dict[Fraction, int] = {}
+    for s, m in pairs:
+        counts[s] = counts.get(s, 0) + m
+    return tuple(sorted((s, m) for s, m in counts.items() if m))
 
 
 EMPTY = SlopeMultiset()
@@ -226,6 +262,10 @@ def frobenius_polygon(d: int, k: int, i: int, weight: int = 2) -> SlopeMultiset:
     scales every slope by 2 (blocks ``{0,2}`` and ``{1,1}``).  The
     family is monotone in ``i``: more non-ordinary blocks lift the
     polygon.
+
+    In closed form, with ``s = 1`` (weight 2) or ``2`` (weight 3): slope
+    ``j*s`` with multiplicity ``(k-i) * C(d, j)`` for ``j = 0..d``, plus
+    slope ``d*s/2`` with multiplicity ``i * 2**d``.
     """
     if d < 1:
         raise ValueError("frobenius_polygon needs d >= 1")
@@ -236,9 +276,8 @@ def frobenius_polygon(d: int, k: int, i: int, weight: int = 2) -> SlopeMultiset:
     if weight not in (2, 3):
         raise ValueError("weight must be 2 or 3")
     step = 1 if weight == 2 else 2
-    ordinary = SlopeMultiset([0, step]).pow_otimes(d)
-    middle = SlopeMultiset([Fraction(step, 2), Fraction(step, 2)]).pow_otimes(d)
-    return ordinary.pow_oplus(k - i).oplus(middle.pow_oplus(i))
+    ordinary = [(Fraction(j * step), (k - i) * comb(d, j)) for j in range(d + 1)]
+    return SlopeMultiset._from_pairs(ordinary + [(Fraction(d * step, 2), i * 2**d)])
 
 
 def hodge_polygon(d: int, k: int, weight: int = 2) -> SlopeMultiset:

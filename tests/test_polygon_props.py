@@ -1,5 +1,6 @@
 """Property-based tests for the multiset semiring and its order."""
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,12 +169,86 @@ class TestFamilyProperties:
         assert p3 == p2.scale(2)
         assert p3.integral == 2 * p2.integral
 
-    @given(st.integers(1, 3), st.integers(1, 5), st.data())
-    def test_block_decomposition(self, d, k, data):
+    def test_block_decomposition(self):
         # P(d, k, i) is i tensor-powers of the half-slope block plus
-        # (k - i) tensor-powers of the ordinary block
-        i = data.draw(st.integers(0, k))
-        ordinary = SlopeMultiset([0, 1]).pow_otimes(d)
-        half = SlopeMultiset([Fraction(1, 2), Fraction(1, 2)]).pow_otimes(d)
-        expected = ordinary.pow_oplus(k - i).oplus(half.pow_oplus(i))
-        assert frobenius_polygon(d, k, i) == expected
+        # (k - i) tensor-powers of the ordinary block; the closed form
+        # must agree with that construction and with the expanded list
+        for d, k, weight in product(range(1, 6), range(1, 5), (2, 3)):
+            step = 1 if weight == 2 else 2
+            ordinary = SlopeMultiset([0, step]).pow_otimes(d)
+            half = SlopeMultiset([Fraction(step, 2)] * 2).pow_otimes(d)
+            ordinary_list = [sum(c) for c in product((0, step), repeat=d)]
+            for i in range(k + 1):
+                got = frobenius_polygon(d, k, i, weight)
+                assert got == ordinary.pow_oplus(k - i).oplus(half.pow_oplus(i))
+                expanded = ordinary_list * (k - i) + [Fraction(d * step, 2)] * (i * 2**d)
+                assert got.slopes == tuple(sorted(expanded))
+
+
+# few distinct values, so that runs of equal slopes are common
+run_slope_st = st.sampled_from(
+    [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+)
+
+
+def _leq_by_partial_sums(xs, ys):
+    if len(xs) != len(ys):
+        return False
+    a = b = Fraction(0)
+    for x, y in zip(sorted(xs), sorted(ys)):
+        a += x
+        b += y
+        if b < a:
+            return False
+    return True
+
+
+def _vertices_by_list(xs):
+    xs = sorted(xs)
+    pts = [(Fraction(0), Fraction(0))]
+    y = Fraction(0)
+    for i, x in enumerate(xs):
+        y += x
+        if i + 1 == len(xs) or xs[i + 1] != x:
+            pts.append((Fraction(i + 1), y))
+    return tuple(pts)
+
+
+@st.composite
+def equal_rank_lists(draw):
+    n = draw(st.integers(0, 10))
+    return (
+        draw(st.lists(run_slope_st, min_size=n, max_size=n)),
+        draw(st.lists(run_slope_st, min_size=n, max_size=n)),
+    )
+
+
+class TestRunsMatchExpandedLists:
+    @given(st.lists(run_slope_st, max_size=12))
+    def test_slopes_str_vertices(self, xs):
+        s = SlopeMultiset(xs)
+        assert s.slopes == tuple(sorted(xs))
+        assert list(s) == sorted(xs)
+        assert str(s) == ",".join(str(x) for x in sorted(xs))
+        assert s.vertices() == _vertices_by_list(xs)
+        assert (s.rank, s.integral) == (len(xs), sum(xs, Fraction(0)))
+
+    @given(equal_rank_lists())
+    def test_leq_equal_rank(self, pair):
+        xs, ys = pair
+        a, b = SlopeMultiset(xs), SlopeMultiset(ys)
+        assert a.leq(b) == _leq_by_partial_sums(xs, ys)
+        assert a.leq_strict(b) == (
+            sum(xs, Fraction(0)) == sum(ys, Fraction(0)) and _leq_by_partial_sums(xs, ys)
+        )
+
+    @given(st.lists(run_slope_st, max_size=8), st.lists(run_slope_st, max_size=8))
+    def test_leq_any_rank(self, xs, ys):
+        assert SlopeMultiset(xs).leq(SlopeMultiset(ys)) == _leq_by_partial_sums(xs, ys)
+
+    @given(dominated_pair())
+    def test_leq_strict_on_dominated_pairs(self, pair):
+        lo, hi = pair
+        xs, ys = list(lo.slopes), list(hi.slopes)
+        assert lo.leq_strict(hi) == _leq_by_partial_sums(xs, ys)
+        assert hi.leq_strict(lo) == _leq_by_partial_sums(ys, xs)
