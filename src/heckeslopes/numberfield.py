@@ -25,9 +25,9 @@ counts the roots of ``f`` mod ``p`` as deg gcd(x^p - x, f mod p).
 Factorization mod p, used only by ``splitting_type`` (and so by
 callers that want the shape of ``p`` itself), is squarefree
 decomposition, then distinct-degree splitting, then randomized
-equal-degree splitting; the randomness is a seeded stream so results
-are reproducible bit for bit, and the factor multiset is independent
-of the seed.
+equal-degree splitting.  The draws come from a fixed
+``random.Random(0)`` stream, and the sorted factor list does not
+depend on them anyway.
 """
 
 from __future__ import annotations
@@ -251,13 +251,12 @@ def _equal_degree(f, d, p, rng):
             )
 
 
-def factor_mod_p(f: IntPoly, p: int, seed: int = 0) -> list[tuple[tuple[int, ...], int]]:
+def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
     """Complete factorization of ``f`` mod ``p`` into monic irreducibles.
 
     Returns ``[(g, multiplicity), ...]`` with each ``g`` a tuple of
     ascending coefficients, sorted by (degree, coefficients) so output
-    is canonical.  The randomized equal-degree stage draws from
-    ``random.Random(seed)``; any seed yields the same factor multiset.
+    is canonical whatever the randomized equal-degree stage draws.
     A unit leading coefficient is normalized away, so the product of
     the factors is the monic normalization of ``f`` mod ``p``.
     """
@@ -269,7 +268,7 @@ def factor_mod_p(f: IntPoly, p: int, seed: int = 0) -> list[tuple[tuple[int, ...
     fb = _monic(fb, p)
     if _deg(fb) == 0:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = []
     for part, mult in _squarefree_parts(fb, p):
         for prod, d in _distinct_degree(part, p):
@@ -303,14 +302,14 @@ def _require_monic_and_prime(f: IntPoly, p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def splitting_type(f: IntPoly, p: int, seed: int = 0) -> PrimeSplitting:
+def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
     """Factor the defining polynomial mod ``p`` and package the shape.
 
     ``f`` must be monic (the caller asserts irreducibility over Q).
     The degree identity sum(e_i * f_i) = deg f always holds.
     """
     _require_monic_and_prime(f, p)
-    factors = tuple(factor_mod_p(f, p, seed=seed))
+    factors = tuple(factor_mod_p(f, p))
     ramified = any(e > 1 for _, e in factors)
     # p | disc(f) iff gcd(f, f') mod p is nonconstant, which for monic f
     # is exactly the repeated-factor condition above
@@ -469,11 +468,11 @@ def _eval_sign_exact(f: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def embeddings(f: IntPoly, tol: float = 1e-9) -> tuple[complex, ...]:
+def embeddings(f: IntPoly) -> tuple[complex, ...]:
     """All complex roots of ``f`` (the archimedean embeddings of the
     field element x).  Roots are located with the companion matrix and
     real roots are then refined by exact-sign bisection to within
-    ``tol``, so real embeddings carry guaranteed accuracy."""
+    1e-9, so real embeddings carry guaranteed accuracy."""
     import numpy as np
 
     f = list(f)
@@ -483,7 +482,7 @@ def embeddings(f: IntPoly, tol: float = 1e-9) -> tuple[complex, ...]:
     for r in roots:
         scale = max(1.0, abs(r))
         if abs(r.imag) < 1e-7 * scale:
-            refined = _refine_real_root(f, float(r.real), tol)
+            refined = _refine_real_root(f, float(r.real))
             if refined is not None:
                 out.append(complex(refined, 0.0))
                 continue
@@ -491,7 +490,7 @@ def embeddings(f: IntPoly, tol: float = 1e-9) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _refine_real_root(f, approx: float, tol: float) -> Optional[float]:
+def _refine_real_root(f, approx: float) -> Optional[float]:
     # keep the bracket local: a near-real complex pair must not be
     # "refined" onto some distant genuine real root
     width = max(1e-6, abs(approx) * 1e-6)
@@ -509,7 +508,7 @@ def _refine_real_root(f, approx: float, tol: float) -> Optional[float]:
         lo, hi = approx - width, approx + width
     else:
         return None
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = (lo + hi) / 2
         smid = _eval_sign_exact(f, Fraction(mid))
         if smid == 0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -227,14 +227,7 @@ _OPTIONAL_KEYS = {
     "galois_degree",
     "interact",
 }
-_INTERACT_KEYS = {
-    "deg_K",
-    "deg_F",
-    "deg_F_tilde",
-    "galois_group_kind",
-    "disc_K",
-    "disc_F",
-}
+_INTERACT_KEYS = tuple(f.name for f in fields(FieldInteraction))
 
 
 def _fail(label: str, field: str, problem: str) -> None:
@@ -345,11 +338,11 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
         raw = obj["interact"]
         if not isinstance(raw, dict):
             _fail(label, "interact", "must be an object")
-        unknown = set(raw) - _INTERACT_KEYS
+        unknown = set(raw).difference(_INTERACT_KEYS)
         if unknown:
             _fail(label, f"interact.{sorted(unknown)[0]}", "unknown key")
-        for key in _INTERACT_KEYS - {"galois_group_kind"}:
-            if key in raw and (
+        for key in _INTERACT_KEYS:
+            if key != "galois_group_kind" and key in raw and (
                 not isinstance(raw[key], int) or isinstance(raw[key], bool)
             ):
                 _fail(label, f"interact.{key}", "must be an integer")
@@ -415,15 +408,11 @@ def records_from_obj(obj) -> list[FormRecord]:
     return [record_from_dict(item, position=i) for i, item in enumerate(obj)]
 
 
-def load_forms(source: Union[str, Path]) -> list[FormRecord]:
-    """Load and validate form records from a JSON file (path or
-    file-like object)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+def load_forms(path: Union[str, Path]) -> list[FormRecord]:
+    """Load and validate form records from the JSON file at ``path``
+    (UTF-8)."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return records_from_obj(obj)
@@ -507,19 +496,16 @@ def _embedding_cache(rec: FormRecord) -> tuple[complex, ...]:
     return _EMBEDDING_CACHE[key]
 
 
-def analyze_form(rec: FormRecord, threads: int = 1) -> FormAnalysis:
+def analyze_form(rec: FormRecord) -> FormAnalysis:
     """Classify every listed prime of one record and summarize.
 
-    Deterministic for a given record.  Analysis always runs serially:
-    ``threads`` must be >= 1 and does not change the work.
-    Every ``split_in_F`` claim is cross-checked against the base field
-    polynomial (``DataError`` on a false claim or on an a_p whose
-    coordinates are not integers).
+    Deterministic for a given record; the primes are analyzed serially
+    in listed order.  Every ``split_in_F`` claim is cross-checked
+    against the base field polynomial (``DataError`` on a false claim
+    or on an a_p whose coordinates are not integers).
     Degenerate a_p = 0 primes count as analyzed-and-not-ordinary in the
     summary; their own rows keep the ``degenerate_ap_zero`` status.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     hodge = hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
     reports = tuple(_analyze_entry(rec, e, hodge) for e in rec.eigenvalues)
 

@@ -47,7 +47,7 @@ METHOD_CLOSED = "closed_form"
 METHOD_QUAD = "quadrature"
 METHOD_MC = "monte_carlo"
 
-_DEFAULT_SUBSTREAMS = 16
+_SUBSTREAMS = 16
 
 
 def density(y: float) -> float:
@@ -130,11 +130,10 @@ def _check_domain(k: int, t: int) -> None:
         raise ValueError("need 1 <= t <= k")
 
 
-def _mc_estimate(k, t, samples, seed, substreams, threads):
+def _mc_estimate(k, t, samples, seed, threads):
     import numpy as np
 
-    if samples < substreams:
-        substreams = max(1, samples)
+    substreams = min(_SUBSTREAMS, samples)
     sizes = [samples // substreams] * substreams
     for i in range(samples % substreams):
         sizes[i] += 1
@@ -198,7 +197,6 @@ def tail_constant(
     method: str = METHOD_MC,
     samples: int = 10**7,
     seed: int = 0,
-    substreams: int = _DEFAULT_SUBSTREAMS,
     threads: int = 1,
 ) -> CEstimate:
     """Estimate c(k, t) = product-measure probability of
@@ -207,13 +205,16 @@ def tail_constant(
     The diagonal t = k is exactly 1 and is returned as a closed form
     whatever ``method`` says.  ``closed_form`` needs t = 1;
     ``quadrature`` needs t <= 2.  Monte Carlo draws ``samples`` total
-    variates per coordinate across ``substreams`` independently seeded
-    substreams (generator seeded with (seed, stream_index)), so the
-    result is reproducible and independent of ``threads``.
+    variates per coordinate across up to 16 independently seeded
+    substreams (generator seeded with (seed, stream_index)) on
+    ``threads`` worker threads, so the result is reproducible and
+    independent of ``threads``, which must be >= 1 for every method.
     """
     _check_domain(k, t)
     if method not in (METHOD_CLOSED, METHOD_QUAD, METHOD_MC):
         raise ValueError(f"unknown method: {method!r}")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
     if t == k:
         return CEstimate(k, t, 1.0, 0.0, METHOD_CLOSED, 0, None)
     if method == METHOD_CLOSED:
@@ -227,7 +228,7 @@ def tail_constant(
         return CEstimate(k, t, value, err, METHOD_QUAD, nodes, None)
     if samples < 1:
         raise ValueError("need samples >= 1")
-    value, err = _mc_estimate(k, t, samples, seed, substreams, threads)
+    value, err = _mc_estimate(k, t, samples, seed, threads)
     return CEstimate(k, t, value, err, METHOD_MC, samples, seed)
 
 
@@ -244,19 +245,17 @@ def tail_table(
     default sample sizes to resolve."""
     if not 1 <= max_k <= 8:
         raise ValueError("need 1 <= max_k <= 8")
-    rows = []
-    for k in range(1, max_k + 1):
-        row = []
-        for t in range(1, k + 1):
-            if t == k:
-                row.append(tail_constant(k, t, METHOD_CLOSED if t == 1 else METHOD_MC))
-            elif t == 1:
-                row.append(tail_constant(k, t, METHOD_CLOSED))
-            else:
-                row.append(
-                    tail_constant(
-                        k, t, METHOD_MC, samples=samples, seed=seed, threads=threads
-                    )
-                )
-        rows.append(row)
-    return rows
+    return [
+        [
+            tail_constant(
+                k,
+                t,
+                METHOD_CLOSED if t == 1 else METHOD_MC,
+                samples=samples,
+                seed=seed,
+                threads=threads,
+            )
+            for t in range(1, k + 1)
+        ]
+        for k in range(1, max_k + 1)
+    ]

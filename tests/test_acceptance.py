@@ -302,7 +302,7 @@ def test_criterion_6_elliptic_end_to_end():
             ],
         }
     )
-    analysis = analyze_form(record, threads=4)
+    analysis = analyze_form(record)
 
     statuses = {rep.status for rep in analysis.reports}
     non_ordinary = {rep.p for rep in analysis.reports if not rep.ordinary}

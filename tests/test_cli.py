@@ -91,21 +91,32 @@ class TestPolygon:
         assert code == 0
         assert json.loads(out) == [["0", "0"], ["1", "0"], ["3", "2"]]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["polygon", "--op", "oplus", "--a", "0,1"],       # missing --b
+    USAGE_ERRORS = [
+        (["polygon", "--op", "oplus", "--a", "0,1"], "--op oplus needs --a and --b"),
+        (
             ["polygon", "--op", "leq", "--a", "0,x", "--b", "1"],
-            ["polygon", "--op", "P", "--d", "2"],             # missing --k
-            ["polygon", "--op", "P", "--d", "0", "--k", "1"],
+            "bad multiset for --a: Invalid literal for Fraction: 'x'",
+        ),
+        (["polygon", "--op", "P", "--d", "2"], "--op P needs --d and --k"),
+        (["polygon", "--op", "P", "--d", "0", "--k", "1"], "frobenius_polygon needs d >= 1"),
+        (
             ["polygon", "--op", "P", "--d", "1", "--k", "2", "--i", "3"],
-        ],
+            "frobenius_polygon needs 0 <= i <= k",
+        ),
+        (
+            ["polygon", "--op", "Pprime", "--d", "1", "--k", "1", "--i", "-1"],
+            "frobenius_polygon needs 0 <= i <= k",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))]
     )
-    def test_usage_errors(self, capsys, argv):
+    def test_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: usage:")
+        assert err == f"error: usage: {message}\n"
 
 
 class TestSlope:
@@ -153,9 +164,20 @@ class TestTailConstant:
         assert json.loads(first[1])["seed"] == 5
 
     def test_bad_arguments(self, capsys):
-        code, _, err = run(capsys, ["stc", "--k", "2", "--t", "3"])
-        assert code == 1
-        assert err.startswith("error: usage:")
+        cases = [
+            (["--k", "2", "--t", "3"], "need 1 <= t <= k"),
+            (["--k", "4", "--t", "3", "--method", "quadrature"], "quadrature path only covers t <= 2"),
+            (["--k", "4", "--t", "2", "--method", "closed"], "closed form only covers t = 1"),
+            (["--k", "4", "--t", "2", "--samples", "0"], "need samples >= 1"),
+            (
+                ["--k", "9", "--t", "1", "--samples", "2"],
+                "no Monte Carlo hits for (k=9, t=1) with 2 samples; "
+                "increase samples or use quadrature/closed form",
+            ),
+        ]
+        for argv, message in cases:
+            code, out, err = run(capsys, ["stc"] + argv)
+            assert (code, out, err) == (1, "", f"error: usage: {message}\n")
 
 
 class TestTable:
@@ -175,9 +197,8 @@ class TestTable:
         assert run(capsys, argv) == run(capsys, argv)
 
     def test_max_k_out_of_range(self, capsys):
-        code, _, err = run(capsys, ["table", "--max-k", "9"])
-        assert code == 1
-        assert err.startswith("error: usage:")
+        code, out, err = run(capsys, ["table", "--max-k", "9"])
+        assert (code, out, err) == (1, "", "error: usage: need 1 <= max_k <= 8\n")
 
 
 class TestAnalyze:

@@ -72,10 +72,6 @@ class TestFactorModP:
                 prod = poly_mul_mod(prod, list(g), 2)
         assert tuple(prod) == tuple(c % 2 for c in f)
 
-    def test_seed_independence(self):
-        f = (3, 1, 4, 1, 5, 9, 2, 6, 1)
-        assert factor_mod_p(f, 13, seed=0) == factor_mod_p(f, 13, seed=99991)
-
     def test_output_sorted(self):
         factors = factor_mod_p((0, -1, 0, 0, 0, 1), 5)
         assert factors == sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))

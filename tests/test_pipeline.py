@@ -269,10 +269,6 @@ class TestAnalysis:
         )
         assert analyze_form(rec).reports[0].status == STATUS_ANALYZED
 
-    def test_threads_do_not_change_result(self):
-        rec = record_from_dict(sqrt2_dict())
-        assert analyze_form(rec, threads=4) == analyze_form(rec, threads=1)
-
     def test_non_integral_ap_is_data_error(self):
         rec = record_from_dict(
             sqrt2_dict(ap=[{"p": 3, "split_in_F": True, "a": ["1/2", "0"]}])

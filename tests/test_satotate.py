@@ -155,6 +155,9 @@ class TestTailConstant:
             dict(k=4, t=3, method=METHOD_QUAD),
             dict(k=3, t=2, method="dartboard"),
             dict(k=3, t=2, samples=0),
+            dict(k=3, t=3, threads=0),  # checked before the exact diagonal
+            dict(k=3, t=1, method=METHOD_CLOSED, threads=0),
+            dict(k=3, t=2, samples=1000, threads=-1),
         ],
     )
     def test_domain_errors(self, kwargs):
@@ -198,3 +201,7 @@ class TestTable:
     def test_max_k_limit(self):
         with pytest.raises(ValueError):
             tail_table(9)
+
+    def test_threads_must_be_positive(self):
+        with pytest.raises(ValueError, match="need threads >= 1"):
+            tail_table(2, samples=1000, threads=0)
