@@ -139,6 +139,7 @@ def _cmd_polygon(args) -> int:
 
 def _cmd_slope(args) -> int:
     _require(args.n >= 1, "--n must be >= 1")
+    _require(args.cap >= 1, "--cap must be >= 1")
     try:
         group = PermutationGroup.parse(args.gens, args.n, cap=args.cap)
     except ValueError as exc:

@@ -192,6 +192,8 @@ class PermutationGroup:
     ):
         if degree < 1:
             raise ValueError("degree must be >= 1")
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
         self.degree = degree
         gens = []
         for g in generators:

@@ -28,10 +28,15 @@ decomposition, then distinct-degree splitting, then randomized
 equal-degree splitting.  The draws come from a fixed
 ``random.Random(0)`` stream, and the sorted factor list does not
 depend on them anyway.
+
+``embeddings`` (behind ``weil_bound_check``) uses only the standard
+library.  It certifies real roots to 1e-9 relative by an exact sign
+change; complex roots and the Weil comparison are floating point.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -461,63 +466,55 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _eval_sign_exact(f: Sequence[int], x: Fraction) -> int:
-    acc = Fraction(0)
-    for c in reversed(list(f)):
-        acc = acc * x + c
-    return (acc > 0) - (acc < 0)
+def _horner(f: Sequence, z):
+    """``f(z)`` for ascending coefficients ``f``: in floating point at a
+    ``complex`` z, exactly at a ``Fraction``."""
+    acc = 0 * z
+    for c in reversed(f):
+        acc = acc * z + c
+    return acc
 
 
 def embeddings(f: IntPoly) -> tuple[complex, ...]:
     """All complex roots of ``f`` (the archimedean embeddings of the
-    field element x).  Roots are located with the companion matrix and
-    real roots are then refined by exact-sign bisection to within
-    1e-9, so real embeddings carry guaranteed accuracy."""
-    import numpy as np
-
-    f = list(f)
-    coeffs = f[::-1]
-    roots = np.roots(coeffs)
-    out = []
-    for r in roots:
-        scale = max(1.0, abs(r))
-        if abs(r.imag) < 1e-7 * scale:
-            refined = _refine_real_root(f, float(r.real))
-            if refined is not None:
-                out.append(complex(refined, 0.0))
-                continue
-        out.append(complex(r))
-    return tuple(out)
-
-
-def _refine_real_root(f, approx: float) -> Optional[float]:
-    # keep the bracket local: a near-real complex pair must not be
-    # "refined" onto some distant genuine real root
-    width = max(1e-6, abs(approx) * 1e-6)
-    lo, hi = approx - width, approx + width
-    for _ in range(8):
-        slo = _eval_sign_exact(f, Fraction(lo))
-        shi = _eval_sign_exact(f, Fraction(hi))
-        if slo == 0:
-            return lo
-        if shi == 0:
-            return hi
-        if slo != shi:
+    field element x), by Aberth-Ehrlich (Aberth, Math. Comp. 27, 1973)
+    in ``complex``.  A root whose conjugate is nearer to it than to any
+    other root gets exact Newton steps, and is returned as
+    ``complex(x, 0.0)``, certified, only if f vanishes or changes sign
+    exactly on x +- 1e-9*max(1, |x|).  Other roots are not certified."""
+    f = _trim(list(f))
+    n = _deg(f)
+    if n < 1:
+        return ()
+    df = [i * c for i, c in enumerate(f)][1:]
+    # start off the real axis on a circle of Fujiwara's radius, which bounds every root
+    radius = 2 * max(abs(f[n - j] / f[n] / (1 + (j == n))) ** (1 / j) for j in range(1, n + 1))
+    z = [cmath.rect(radius, 2 * cmath.pi * k / n + 0.4) for k in range(n)]
+    prev = cmath.inf
+    for _ in range(200):  # random degree-80 f need about 100 rounds
+        largest = 0.0
+        for i, zi in enumerate(z):
+            fz = _horner(f, zi)
+            if fz:
+                w = fz / (_horner(df, zi) - fz * sum(1 / (zi - zj) for zj in z if zj != zi))
+                z[i] = zi - w
+                largest = max(largest, abs(w) / max(1.0, abs(z[i])))
+        # corrections that stop shrinking below 1e-6 are rounding noise
+        if largest < 1e-15 or (largest < 1e-6 and largest >= prev):
             break
-        width *= 2
-        lo, hi = approx - width, approx + width
-    else:
-        return None
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2
-        smid = _eval_sign_exact(f, Fraction(mid))
-        if smid == 0:
-            return mid
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+        prev = largest
+    for i, zi in enumerate(z):
+        if all(2 * abs(zi.imag) < abs(zi.conjugate() - zj) for j, zj in enumerate(z) if j != i):
+            x = zi.real
+            for _ in range(3):
+                q = Fraction(x)
+                dq = _horner(df, q)
+                if dq:
+                    x = float(q - _horner(f, q) / dq)
+            h = 1e-9 * max(1.0, abs(x))
+            if _horner(f, Fraction(x - h)) * _horner(f, Fraction(x + h)) <= 0:
+                z[i] = complex(x, 0.0)
+    return tuple(z)
 
 
 def weil_bound_check(
@@ -538,13 +535,9 @@ def weil_bound_check(
     coords = _coords(a, n)
     bound = 2 * (p**0.5) if weight == 2 else 2.0 * p
     bound *= 1 + 1e-9
-    for root in embeddings(f) if roots is None else roots:
-        val = 0j
-        for c in reversed(coords):
-            val = val * root + complex(float(c))
-        if abs(val) > bound:
-            return False
-    return True
+    coeffs = [float(c) for c in coords]
+    roots = embeddings(f) if roots is None else roots
+    return all(abs(_horner(coeffs, root)) <= bound for root in roots)
 
 
 def half_bound_check(k_p: int, k_f: int, p: int) -> str:

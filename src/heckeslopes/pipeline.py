@@ -265,6 +265,9 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
     label = obj.get("label")
     if not isinstance(label, str) or not label:
         raise SchemaError(f"record #{position}: missing or empty 'label'")
+    if not label.isprintable():
+        # a tab or line break would split the label's report row
+        raise SchemaError(f"record #{position}: label {label!r} has an unprintable character")
 
     keys = set(obj)
     missing = _REQUIRED_KEYS - keys

@@ -47,6 +47,11 @@ NEWTON_BELOW_HODGE_ERROR = (
     "above the Hodge polygon with the same endpoints\n"
 )
 
+# the label is shown escaped on one line; nothing goes to stdout
+UNPRINTABLE_LABEL_ERROR = (
+    "error: data: record #0: label 'bad\\tlabel\\nx' has an unprintable character\n"
+)
+
 
 @pytest.fixture
 def forms_file(tmp_path):
@@ -107,6 +112,8 @@ class TestPolygon:
             ["polygon", "--op", "Pprime", "--d", "1", "--k", "1", "--i", "-1"],
             "frobenius_polygon needs 0 <= i <= k",
         ),
+        (["slope", "--gens", "(0 1)", "--n", "2", "--cap", "0"], "--cap must be >= 1"),
+        (["slope", "--gens", "(0 1)", "--n", "2", "--cap", "-5"], "--cap must be >= 1"),
     ]
 
     @pytest.mark.parametrize(
@@ -278,6 +285,11 @@ class TestAnalyze:
             "maximal order outside Z[x] are not supported yet)\n"
         )
 
+    def test_unprintable_label_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([dict(FORM, label="bad\tlabel\nx")]))
+        assert run(capsys, ["analyze", str(path)]) == (2, "", UNPRINTABLE_LABEL_ERROR)
+
     def test_newton_below_hodge_is_data_error(self, capsys, forms_file, monkeypatch):
         hodge = hodge_polygon(FORM["d"], len(FORM["hecke_poly"]) - 1)
         assert hodge.rank == BELOW_HODGE.rank and hodge.integral == BELOW_HODGE.integral
@@ -320,6 +332,11 @@ class TestClassify:
             "demo.rst\tcase=RSTBound\tbound_on_kp=1"
             "\tdensity=conditional_abundant\tconditional_on=tST(1)"
         )
+
+    def test_unprintable_label_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([dict(FORM, ap=[]), dict(FORM, label="bad\tlabel\nx", ap=[])]))
+        assert run(capsys, ["classify", str(path)]) == (2, "", UNPRINTABLE_LABEL_ERROR.replace("#0", "#1"))
 
 
 class TestGlobalFlags:
@@ -380,7 +397,7 @@ def run_fresh(script, argv, cwd, flags=()):
         (["polygon", "--op", "dual", "--a", "0,1"], ""),
         (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ""),
         (["classify", "FORMS"], ""),
-        (["analyze", "FORMS"], "numpy"),
+        (["analyze", "FORMS"], ""),
         (["table", "--max-k", "3", "--samples", "2000"], "numpy"),
         (["stc", "--k", "3", "--t", "2", "--method", "quadrature"], "numpy,scipy"),
     ],

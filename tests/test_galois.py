@@ -110,6 +110,9 @@ class TestGroupClosure:
         s6 = PermutationGroup.parse("(0 1);(0 1 2 3 4 5)", 6, cap=100)
         with pytest.raises(ClosureCapExceeded):
             s6.order
+        for cap in (0, -5):
+            with pytest.raises(ValueError):
+                PermutationGroup(3, cap=cap)
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,16 @@ class TestEmbeddings:
         assert abs(reals[2] - 10000**0.5) < 1e-7
         assert abs(reals[3] - 10001**0.5) < 1e-7
 
+    def test_wilkinson_roots_exact(self):
+        # prod (x - i) for i <= 20: floating-point evaluation of f is
+        # noise near the larger roots, the exact Newton steps are not
+        f = [1]
+        for i in range(1, 21):
+            f = [a - i * b for a, b in zip([0] + f, f + [0])]
+        roots = embeddings(f)
+        assert all(r.imag == 0.0 for r in roots)
+        assert sorted(r.real for r in roots) == pytest.approx(range(1, 21), rel=0, abs=1e-12)
+
 
 class TestWeilBound:
     def test_rational_weight_two(self):

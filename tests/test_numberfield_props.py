@@ -1,12 +1,18 @@
 """Property-based tests: the gcd forms of the defect and of the split
-test agree with the factorization they replace."""
+test agree with the factorization they replace, and the root finder
+agrees with numpy's companion-matrix roots."""
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckeslopes.numberfield import (
     RamifiedPrimeError,
+    discriminant,
     element_in_prime,
+    embeddings,
     factor_mod_p,
     is_prime,
     k_of_p,
@@ -70,3 +76,29 @@ def test_splits_completely_matches_splitting_shape(f, p):
         deg == 1 for deg in split.residue_degrees
     )
     assert splits_completely(f, p) == expected
+
+
+def _eval(f, x):
+    return sum(c * x**i for i, c in enumerate(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+def test_embeddings_match_numpy_roots(low):
+    f = low + [1]
+    assume(discriminant(f) != 0)
+    roots = embeddings(f)
+    oracle = np.roots(f[::-1])
+    assert len(roots) == len(oracle)
+
+    def near(z, pool):
+        return any(abs(z - w) <= 1e-9 * max(1.0, abs(w)) for w in pool)
+
+    real = [z.real for z in roots if z.imag == 0.0]
+    assert len(real) == sum(abs(w.imag) <= 1e-7 * max(1.0, abs(w)) for w in oracle)
+    assert all(near(z, oracle) for z in roots)
+    assert all(near(z.conjugate(), roots) for z in roots)
+    # each real root is certified by an exact sign change (or zero)
+    for x in real:
+        h = 1e-9 * max(1.0, abs(x))
+        assert _eval(f, Fraction(x - h)) * _eval(f, Fraction(x + h)) <= 0

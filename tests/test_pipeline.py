@@ -144,6 +144,8 @@ class TestSchema:
             (dict(ap=[{"p": 3, "split_in_F": True}]), "a"),
             (dict(interact={"deg_Q": 1}), "interact"),
             (dict(label=7), "label"),
+            (dict(label="bad\tlabel\nx"), "label"),
+            (dict(label="ends in a carriage return\r"), "label"),
         ],
     )
     def test_rejects_bad_records(self, mutation, fragment):
