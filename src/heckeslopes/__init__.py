@@ -38,7 +38,15 @@ from .pipeline import (
     load_forms,
 )
 from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon
-from .satotate import CEstimate, tail_constant, tail_constant_closed_form, tail_table
+from .satotate import (
+    METHOD_CLOSED,
+    METHOD_MC,
+    METHOD_SERIES,
+    CEstimate,
+    tail_constant,
+    tail_constant_closed_form,
+    tail_table,
+)
 
 __version__ = "0.1.0"
 
@@ -60,6 +68,9 @@ __all__ = [
     "weil_bound_check",
     "half_bound_check",
     "CEstimate",
+    "METHOD_CLOSED",
+    "METHOD_SERIES",
+    "METHOD_MC",
     "tail_constant",
     "tail_constant_closed_form",
     "tail_table",

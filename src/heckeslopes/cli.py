@@ -27,7 +27,7 @@ from .pipeline import (
     vertices_payload,
 )
 from .polygon import SlopeMultiset, frobenius_polygon
-from .satotate import METHOD_CLOSED, METHOD_MC, METHOD_QUAD, tail_constant, tail_table
+from .satotate import METHOD_CLOSED, METHOD_MC, METHOD_SERIES, tail_constant, tail_table
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -74,12 +74,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stc", help="one semicircle tail constant c(k,t)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=["mc", "quadrature", "closed"], default="mc")
+    p.add_argument("--method", choices=["series", "mc", "closed"], default="series")
     p.add_argument("--samples", type=int, default=10**7)
     p.set_defaults(func=_cmd_stc)
 
     p = sub.add_parser("table", help="triangular table of tail constants")
     p.add_argument("--max-k", type=int, required=True, dest="max_k")
+    p.add_argument("--method", choices=["series", "mc"], default="series")
     p.add_argument("--samples", type=int, default=10**7)
     p.set_defaults(func=_cmd_table)
 
@@ -155,14 +156,24 @@ def _cmd_slope(args) -> int:
     return 0
 
 
-_METHOD_MAP = {"mc": METHOD_MC, "quadrature": METHOD_QUAD, "closed": METHOD_CLOSED}
+_METHOD_MAP = {"series": METHOD_SERIES, "mc": METHOD_MC, "closed": METHOD_CLOSED}
+
+
+def _method(args) -> str:
+    """The library method for ``--method``; Monte Carlo needs numpy."""
+    if args.method == "mc":
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            raise UsageError("--method mc needs numpy (pip install 'heckeslopes[mc]')") from None
+    return _METHOD_MAP[args.method]
 
 
 def _cmd_stc(args) -> int:
     est = tail_constant(
         args.k,
         args.t,
-        method=_METHOD_MAP[args.method],
+        method=_method(args),
         samples=args.samples,
         seed=args.seed,
         threads=args.threads,
@@ -191,7 +202,9 @@ def _format_entry(est) -> str:
 
 
 def _cmd_table(args) -> int:
-    rows = tail_table(args.max_k, samples=args.samples, seed=args.seed, threads=args.threads)
+    rows = tail_table(
+        args.max_k, _method(args), samples=args.samples, seed=args.seed, threads=args.threads
+    )
     print("k\\t\t" + "\t".join(f"t={t}" for t in range(1, args.max_k + 1)))
     for k, row in enumerate(rows, start=1):
         print(f"k={k}\t" + "\t".join(_format_entry(est) for est in row))

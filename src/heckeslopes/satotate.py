@@ -14,20 +14,71 @@ closed form
     c(k, 1) = (2/pi) * (u*sqrt(1 - u^2) + arcsin(u)),  u = 2^(1-k),
 
 asymptotically 1/(pi * 2^(k-2)).  For t = k the constraint is vacuous
-(|y_i| < 2 always), so the diagonal is exactly 1 and is never
-simulated.  Other entries are estimated by vectorized rejection-
-sampling Monte Carlo over deterministic substreams, or for t <= 2 by
-deterministic quadrature.
+(|y_i| < 2 always), so the diagonal is exactly 1.
 
-numpy is imported only when Monte Carlo runs and SciPy only when
-quadrature does, so importing this module and the closed forms load
-neither.
+Every entry is also the sum of a residue series (Flajolet, Gourdon and
+Dumas, "Mellin transforms and asymptotics: harmonic sums", TCS 144,
+1995).  X = |Y|/2 has Mellin transform
+
+    E X^s = M(s) = Gamma((s+1)/2) / (sqrt(pi) * Gamma(s/2 + 2)),
+
+and closing the Mellin inversion of P(X_1 ... X_t < 2^-k) to the left
+gives
+
+    c(k, t) = sum_{n>=0} Res_{s=-(2n+1)} 2^(ks) M(s)^t / (-s).
+
+Write s = -(2n+1) + 2d.  The Laurent series of Gamma at -n and at the
+half-integer 3/2 - n give M(s) = K_n d^-1 exp(G_n(d)) with
+K_n = (-1)^n / (n! pi F_n(0)), where F_0(d) = 1/2 + d and
+F_n(d) = prod_{0<j<n} (1/2 - j + d)^-1 for n >= 1, and
+
+    G_n(d) = 2 log2 d + sum_{m>=2} (-1)^m zeta(m) (2 - 2^m)/m d^m
+             + sum_{m>=1} H_n^(m) d^m/m - log(F_n(d)/F_n(0))
+
+(Euler's constant cancels between the two Gamma factors; H_n^(m) is
+the generalized harmonic number).  Residue n is therefore
+
+    2 K_n^t 2^(-k(2n+1)) [d^(t-1)] exp(t G_n(d) + 2k log2 d) / ((2n+1) - 2d),
+
+which needs only log 2, pi, zeta(2..t) and rationals.  It is summed in
+40-digit decimal arithmetic; zeta(m) comes from Euler-Maclaurin
+summation.  ``abs_error`` of a series value is the sum of three bounds:
+
+- the truncated tail.  By the reflection formula
+  M(s) = -cot(pi d) Gamma(n - 1/2 - d) / (sqrt(pi) Gamma(n + 1 - d)),
+  so on the circle |d| = 1/4 and for n >= 1,
+  |M| <= C_n = coth(pi/4) Gamma(n - 3/4) / (sqrt(pi) Gamma(n + 3/4))
+  (|Gamma(z)/Gamma(z + 3/2)| <= Gamma(Re z)/Gamma(Re z + 3/2) from the
+  Beta integral, and the right side decreases in Re z > 0).  The Cauchy estimate on that circle bounds residue n
+  by C_n^t 2^(-k(2n + 1/2)) / (2(2n + 1/2)); C_n decreases in n, so
+  the residues from N on sum to at most the N-th bound over
+  1 - 2^(-2k), a geometric majorant in 2^(-2k).  Summation stops at
+  the first N whose bound is below 2^-60 of the partial sum.
+- the working precision.  Each summand of a coefficient of G_n
+  (zeta(m), log 2 or a rational) carries a relative error below
+  1e-37, and each decimal operation one below 5e-40.  To first order
+  the error of residue n is then at most
+  2e-37 |2 K_n^t 2^(-k(2n+1))| sum_i w_i ((B*P)_i + (t+2)^2 B_i),
+  with w_i = 2^(t-1-i)/(2n+1)^(t-i) the weights of the last factor,
+  B the Taylor coefficients of the exponential with every coefficient
+  of t G_n + 2k log2 d replaced by its absolute value, P those
+  coefficients' sums of absolute summands, and * the Cauchy product.
+  It grows with t: 8e-32 at k = 60, t = 59.
+- the rounding of the decimal sum to a float, 2^-52 of the value.
+
+Monte Carlo (vectorized rejection sampling over deterministic
+substreams) stays as an explicit cross-check.  numpy is imported only
+when it runs, so importing this module, the closed form and the series
+need nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, pi, sqrt
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
+from math import asin, exp, factorial, lgamma, log, pi, prod, sqrt, tanh
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -38,16 +89,30 @@ __all__ = [
     "cdf",
     "sample",
     "CEstimate",
+    "METHOD_CLOSED",
+    "METHOD_SERIES",
+    "METHOD_MC",
     "tail_constant_closed_form",
     "tail_constant",
     "tail_table",
 ]
 
 METHOD_CLOSED = "closed_form"
-METHOD_QUAD = "quadrature"
+METHOD_SERIES = "series"
 METHOD_MC = "monte_carlo"
 
 _SUBSTREAMS = 16
+
+# largest k of the series and the table: the range the series' error
+# bound is checked over against an independent oracle
+_MAX_K = 60
+# working precision of the series, in decimal digits
+_DIGITS = 40
+# relative error bound of zeta(m), log 2 and each summand at _DIGITS
+_ETA = 1e-37
+_ZETA_HEAD = 64
+# B_2, B_4, ..., B_20, the Euler-Maclaurin corrections of _zeta
+_BERNOULLI = "1/6 -1/30 1/42 -1/30 5/66 -691/2730 7/6 -3617/510 43867/798 -174611/330"
 
 
 def density(y: float) -> float:
@@ -92,9 +157,9 @@ class CEstimate:
     """One tail-constant value with an explicit error bound.
 
     ``abs_error`` is three sample standard deviations for Monte Carlo,
-    the integrator's error estimate (with safety factor) for
-    quadrature, and a floating-point bound for closed forms.  ``seed``
-    is None unless randomness was used.
+    the tail, working-precision and rounding bounds of the module
+    docstring for the series, and a floating-point bound for closed
+    forms.  ``seed`` is None unless randomness was used.
     """
 
     k: int
@@ -157,44 +222,129 @@ def _mc_estimate(k, t, samples, seed, threads):
     if hits == 0:
         raise ValueError(
             f"no Monte Carlo hits for (k={k}, t={t}) with {samples} samples; "
-            "increase samples or use quadrature/closed form"
+            "increase samples or use the series/closed form"
         )
     p = hits / samples
     err = 3.0 * sqrt(p * (1.0 - p) / samples)
     return p, err
 
 
-def _quadrature_estimate(k: int, t: int):
-    from scipy import integrate
+def _decimal(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / q.denominator
 
-    c = 2.0 ** (t - k)
-    if t == 1:
-        value, abserr, info = integrate.quad(density, -c, c, full_output=1)
-        return value, 10.0 * abserr + 1e-14, int(info["neval"])
-    # t == 2: integrate over y the chance that the second factor lands
-    # below c/y; the inner mass is 1 until y exceeds c/2 (kink there)
-    def inner(y: float) -> float:
-        if y <= 0.0:
-            return 1.0
-        z = c / y
-        if z >= 2.0:
-            return 1.0
-        return 2.0 * (cdf(z) - 0.5)
 
-    def integrand(y: float) -> float:
-        return density(y) * inner(y)
+@lru_cache(maxsize=None)
+def _zeta(m: int) -> Decimal:
+    """zeta(m) for m >= 2 to 40 digits: the terms below 64 summed
+    directly, the rest by Euler-Maclaurin through B_20.  The remainder
+    is below the first omitted term, |B_22| 64^-23 < 2e-38 at m = 2
+    and smaller beyond."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        head = sum(Decimal(j) ** -m for j in range(1, _ZETA_HEAD))
+        n = _ZETA_HEAD
+        tail = Fraction(1, (m - 1) * n ** (m - 1)) + Fraction(1, 2 * n**m)
+        rising, fact = m, 2  # m (m+1) ... (m+2i-2) and (2i)!
+        for i, bernoulli in enumerate(map(Fraction, _BERNOULLI.split()), start=1):
+            tail += bernoulli * rising / (fact * n ** (m + 2 * i - 1))
+            rising *= (m + 2 * i - 1) * (m + 2 * i)
+            fact *= (2 * i + 1) * (2 * i + 2)
+        return head + _decimal(tail)
 
-    value, abserr, info = integrate.quad(
-        integrand, 0.0, 2.0, points=[min(2.0, c / 2.0)], limit=200, full_output=1
+
+def _exp_series(a: list) -> list:
+    """The first len(a) Taylor coefficients of exp(sum_{m>=1} a_m x^m)."""
+    b = [1]
+    for m in range(1, len(a)):
+        b.append(sum(j * a[j] * b[m - j] for j in range(1, m + 1)) / m)
+    return b
+
+
+@lru_cache(maxsize=None)
+def _log2() -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        return Decimal(2).ln()
+
+
+@lru_cache(maxsize=None)
+def _g_coefficient(n: int, m: int) -> tuple[Decimal, float]:
+    """The coefficient of d^m in G_n(d), m >= 1, and the sum of the
+    absolute values of its summands."""
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        rational = sum((Fraction(1, j**m) for j in range(1, n + 1)), Fraction(0))
+        if n == 0:
+            rational += (-2) ** m
+        else:
+            rational -= sum(Fraction(2, 2 * j - 1) ** m for j in range(1, n))
+        irrational = 2 * _log2() if m == 1 else (-1) ** m * (2 - 2**m) * _zeta(m)
+        return (
+            (_decimal(rational) + irrational) / m,
+            (abs(float(rational)) + abs(float(irrational))) / m,
+        )
+
+
+def _residue(k: int, t: int, n: int, pi_t: Decimal):
+    """Residue n of the series for c(k, t) and a bound on its
+    working-precision error (see the module docstring)."""
+    q = 2 * n + 1
+    a = [Decimal(0)] * t  # t G_n(d) + 2k log2 d, by powers of d
+    parts = [0.0] * t  # the same with the absolute value of each summand
+    for m in range(1, t):
+        g, size = _g_coefficient(n, m)
+        a[m] = t * g
+        parts[m] = t * size
+    if t > 1:
+        a[1] += 2 * k * _log2()
+        parts[1] += 2 * k * log(2)
+    kappa = 2 if n == 0 else Fraction((-1) ** n, factorial(n)) * prod(
+        Fraction(1, 2) - j for j in range(1, n)
     )
-    value *= 2.0
-    return value, 10.0 * (2.0 * abserr) + 1e-13, int(info["neval"])
+    scale = Fraction(2 * kappa**t, 2 ** (k * q))
+    ratio = Decimal(2) / q
+    acc = Decimal(0)
+    for coefficient in _exp_series(a):
+        acc = acc * ratio + coefficient
+    residue = _decimal(scale) * acc / q / pi_t
+
+    sizes = _exp_series([abs(float(x)) for x in a])
+    majorant = sum(
+        (2 / q) ** (t - 1 - i) / q
+        * ((t + 2) ** 2 * sizes[i] + sum(parts[m] * sizes[i - m] for m in range(1, i + 1)))
+        for i in range(t)
+    )
+    return residue, 2 * _ETA * abs(float(scale)) / float(pi_t) * majorant
+
+
+def _tail_bound(k: int, t: int, n: int) -> float:
+    """Bound on the sum of |residue m| over m >= n >= 1."""
+    c_n = exp(lgamma(n - 0.75) - lgamma(n + 0.75)) / (tanh(pi / 4) * sqrt(pi))
+    r = 2 * n + 0.5
+    return exp(t * log(c_n) - k * r * log(2)) / (2 * r * (1 - 4.0**-k))
+
+
+def _series_estimate(k: int, t: int):
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        pi_t = (6 * _zeta(2)).sqrt() ** t
+        total, working, n = Decimal(0), 0.0, 0
+        while True:
+            residue, err = _residue(k, t, n, pi_t)
+            total += residue
+            working += err
+            n += 1
+            tail = _tail_bound(k, t, n)
+            if tail <= 2.0**-60 * abs(float(total)):
+                break
+        value = float(total)
+    return value, tail + working + 2.0**-52 * value, n
 
 
 def tail_constant(
     k: int,
     t: int,
-    method: str = METHOD_MC,
+    method: str = METHOD_SERIES,
     samples: int = 10**7,
     seed: int = 0,
     threads: int = 1,
@@ -203,15 +353,17 @@ def tail_constant(
     |y_1 * ... * y_t| < 2^(t-k).
 
     The diagonal t = k is exactly 1 and is returned as a closed form
-    whatever ``method`` says.  ``closed_form`` needs t = 1;
-    ``quadrature`` needs t <= 2.  Monte Carlo draws ``samples`` total
-    variates per coordinate across up to 16 independently seeded
-    substreams (generator seeded with (seed, stream_index)) on
-    ``threads`` worker threads, so the result is reproducible and
-    independent of ``threads``, which must be >= 1 for every method.
+    whatever ``method`` says.  ``closed_form`` needs t = 1.  ``series``
+    sums the residue series of the module docstring, for k <= 60; its
+    ``samples_or_nodes`` is the number of residues summed.  Monte Carlo
+    draws ``samples`` total variates per coordinate across up to 16
+    independently seeded substreams (generator seeded with
+    (seed, stream_index)) on ``threads`` worker threads, so the result
+    is reproducible and independent of ``threads``, which must be >= 1
+    for every method.
     """
     _check_domain(k, t)
-    if method not in (METHOD_CLOSED, METHOD_QUAD, METHOD_MC):
+    if method not in (METHOD_CLOSED, METHOD_SERIES, METHOD_MC):
         raise ValueError(f"unknown method: {method!r}")
     if threads < 1:
         raise ValueError("need threads >= 1")
@@ -221,11 +373,11 @@ def tail_constant(
         if t != 1:
             raise ValueError("closed form only covers t = 1")
         return CEstimate(k, t, tail_constant_closed_form(k), 1e-15, METHOD_CLOSED, 0, None)
-    if method == METHOD_QUAD:
-        if t > 2:
-            raise ValueError("quadrature path only covers t <= 2")
-        value, err, nodes = _quadrature_estimate(k, t)
-        return CEstimate(k, t, value, err, METHOD_QUAD, nodes, None)
+    if method == METHOD_SERIES:
+        if k > _MAX_K:
+            raise ValueError(f"series covers k <= {_MAX_K}")
+        value, err, terms = _series_estimate(k, t)
+        return CEstimate(k, t, value, err, METHOD_SERIES, terms, None)
     if samples < 1:
         raise ValueError("need samples >= 1")
     value, err = _mc_estimate(k, t, samples, seed, threads)
@@ -234,23 +386,24 @@ def tail_constant(
 
 def tail_table(
     max_k: int,
+    method: str = METHOD_SERIES,
     samples: int = 10**7,
     seed: int = 0,
     threads: int = 1,
 ) -> list[list[CEstimate]]:
-    """Lower-triangular table of c(k, t) estimates for k <= max_k:
+    """Lower-triangular table of c(k, t) estimates for k <= max_k <= 60:
     row k lists t = 1 .. k.  Diagonal entries are exact, the t = 1
-    column uses the closed form, everything else Monte Carlo.  Capped
-    at max_k = 8; beyond that the t = 1 tail is too small for the
-    default sample sizes to resolve."""
-    if not 1 <= max_k <= 8:
-        raise ValueError("need 1 <= max_k <= 8")
+    column uses the closed form, everything else ``method`` (the
+    series, or Monte Carlo with ``samples``, ``seed`` and
+    ``threads``)."""
+    if not 1 <= max_k <= _MAX_K:
+        raise ValueError(f"need 1 <= max_k <= {_MAX_K}")
     return [
         [
             tail_constant(
                 k,
                 t,
-                METHOD_CLOSED if t == 1 else METHOD_MC,
+                METHOD_CLOSED if t == 1 else method,
                 samples=samples,
                 seed=seed,
                 threads=threads,

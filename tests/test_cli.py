@@ -162,7 +162,8 @@ class TestTailConstant:
         assert abs(payload["value"] - 0.1587395) < 1e-6
 
     def test_mc_deterministic_and_seed_sensitive(self, capsys):
-        argv = ["--seed", "5", "stc", "--k", "2", "--t", "1", "--samples", "20000"]
+        argv = ["--seed", "5", "stc", "--k", "2", "--t", "1", "--method", "mc",
+                "--samples", "20000"]
         first = run(capsys, argv)
         second = run(capsys, argv)
         other = run(capsys, ["--seed", "6"] + argv[2:])
@@ -173,13 +174,13 @@ class TestTailConstant:
     def test_bad_arguments(self, capsys):
         cases = [
             (["--k", "2", "--t", "3"], "need 1 <= t <= k"),
-            (["--k", "4", "--t", "3", "--method", "quadrature"], "quadrature path only covers t <= 2"),
+            (["--k", "4", "--t", "5", "--method", "series"], "need 1 <= t <= k"),
             (["--k", "4", "--t", "2", "--method", "closed"], "closed form only covers t = 1"),
-            (["--k", "4", "--t", "2", "--samples", "0"], "need samples >= 1"),
+            (["--k", "4", "--t", "2", "--method", "mc", "--samples", "0"], "need samples >= 1"),
             (
-                ["--k", "9", "--t", "1", "--samples", "2"],
+                ["--k", "9", "--t", "1", "--method", "mc", "--samples", "2"],
                 "no Monte Carlo hits for (k=9, t=1) with 2 samples; "
-                "increase samples or use quadrature/closed form",
+                "increase samples or use the series/closed form",
             ),
         ]
         for argv, message in cases:
@@ -204,8 +205,24 @@ class TestTable:
         assert run(capsys, argv) == run(capsys, argv)
 
     def test_max_k_out_of_range(self, capsys):
-        code, out, err = run(capsys, ["table", "--max-k", "9"])
-        assert (code, out, err) == (1, "", "error: usage: need 1 <= max_k <= 8\n")
+        code, out, err = run(capsys, ["table", "--max-k", "61"])
+        assert (code, out, err) == (1, "", "error: usage: need 1 <= max_k <= 60\n")
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["table", "--max-k", "8"], "golden_table.tsv"),
+            (
+                ["--seed", "3", "table", "--method", "mc", "--max-k", "8", "--samples", "200000"],
+                "golden_table_mc.tsv",
+            ),
+        ],
+        ids=["series", "mc"],
+    )
+    def test_matches_golden_bytes(self, capsysbinary, argv, golden):
+        assert main(argv) == 0
+        out = capsysbinary.readouterr().out
+        assert out == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
 class TestAnalyze:
@@ -346,8 +363,9 @@ class TestGlobalFlags:
         assert err.startswith("error: usage:")
 
     def test_threads_do_not_change_output(self, capsys):
-        one = run(capsys, ["--threads", "1", "stc", "--k", "3", "--t", "2", "--samples", "40000"])
-        four = run(capsys, ["--threads", "4", "stc", "--k", "3", "--t", "2", "--samples", "40000"])
+        argv = ["stc", "--k", "3", "--t", "2", "--method", "mc", "--samples", "40000"]
+        one = run(capsys, ["--threads", "1"] + argv)
+        four = run(capsys, ["--threads", "4"] + argv)
         assert one == four
 
 
@@ -398,10 +416,11 @@ def run_fresh(script, argv, cwd, flags=()):
         (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ""),
         (["classify", "FORMS"], ""),
         (["analyze", "FORMS"], ""),
-        (["table", "--max-k", "3", "--samples", "2000"], "numpy"),
-        (["stc", "--k", "3", "--t", "2", "--method", "quadrature"], "numpy,scipy"),
+        (["table", "--max-k", "3", "--samples", "2000"], ""),
+        (["stc", "--k", "3", "--t", "2"], ""),
+        (["stc", "--k", "3", "--t", "2", "--method", "mc", "--samples", "2000"], "numpy"),
     ],
-    ids=["polygon", "slope", "classify", "analyze", "table", "stc-quadrature"],
+    ids=["polygon", "slope", "classify", "analyze", "table", "stc", "stc-mc"],
 )
 def test_heavy_imports_only_where_used(forms_file, argv, loaded):
     """numpy and SciPy are loaded only by the commands that compute
@@ -416,6 +435,27 @@ def test_heavy_imports_only_where_used(forms_file, argv, loaded):
     proc = run_fresh(script, argv, forms_file.parent)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"loaded={loaded}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stc", "--k", "3", "--t", "2", "--method", "mc"],
+        ["table", "--method", "mc", "--max-k", "3"],
+    ],
+    ids=["stc", "table"],
+)
+def test_mc_without_numpy_is_one_usage_line(tmp_path, argv):
+    script = (
+        "import sys; sys.modules['numpy'] = None; from heckeslopes.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = run_fresh(script, argv, tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1,
+        "",
+        "error: usage: --method mc needs numpy (pip install 'heckeslopes[mc]')\n",
+    )
 
 
 def test_newton_below_hodge_is_data_error_under_optimize(forms_file):

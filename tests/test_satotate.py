@@ -1,15 +1,16 @@
 """Semicircle distribution and product-tail constants."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 
-from conftest import TAIL_TRUTH, semicircle_tail
+from conftest import TAIL_TRUTH, mellin_residue, mellin_tail, semicircle_tail
+from heckeslopes import satotate
 from heckeslopes.satotate import (
     METHOD_CLOSED,
     METHOD_MC,
-    METHOD_QUAD,
+    METHOD_SERIES,
     CEstimate,
     cdf,
     density,
@@ -25,7 +26,7 @@ COLUMN = [0.315, 0.159, 0.0795, 0.0398, 0.0199]
 
 class TestDistribution:
     def test_density_normalizes(self):
-        total, _ = integrate.quad(density, -2, 2)
+        total = mpmath.quad(density, [-2, 0, 2])
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_density_shape(self):
@@ -111,38 +112,40 @@ class TestTailConstant:
         assert est.value == tail_constant_closed_form(3)
         assert est.abs_error <= 1e-12  # float roundoff bound only
 
-    def test_quadrature_t_one_matches_closed(self):
-        est = tail_constant(4, 1, method=METHOD_QUAD)
-        assert est.value == pytest.approx(tail_constant_closed_form(4), abs=1e-9)
-        assert est.samples_or_nodes > 0
+    def test_series_t_one_matches_closed(self):
+        for k in range(2, 61):
+            est = tail_constant(k, 1, method=METHOD_SERIES)
+            assert est.method == METHOD_SERIES
+            assert est.value == pytest.approx(tail_constant_closed_form(k), rel=0, abs=1e-15)
 
-    def test_quadrature_t_two(self):
-        est = tail_constant(4, 2, method=METHOD_QUAD)
-        assert est.value == pytest.approx(TAIL_TRUTH[(4, 2)], abs=1e-3)
-        assert est.method == METHOD_QUAD
+    def test_series_t_two(self):
+        est = tail_constant(4, 2)
+        assert est.method == METHOD_SERIES
+        assert est.value == pytest.approx(TAIL_TRUTH[(4, 2)], abs=1e-5)
+        assert est.samples_or_nodes > 0 and est.seed is None
 
     def test_monte_carlo_hits_truth(self):
         for (k, t), truth in [((4, 2), 0.32024), ((6, 5), 0.77201)]:
-            est = tail_constant(k, t, samples=10**6, seed=0)
+            est = tail_constant(k, t, method=METHOD_MC, samples=10**6, seed=0)
             # 10^6 samples put three sigma near 1.5e-3
             assert est.value == pytest.approx(truth, abs=2.5e-3)
             assert est.value - est.abs_error <= truth <= est.value + est.abs_error
 
     def test_monte_carlo_error_bar_scales(self):
-        small = tail_constant(4, 2, samples=10**5, seed=0)
-        big = tail_constant(4, 2, samples=10**6, seed=0)
+        small = tail_constant(4, 2, method=METHOD_MC, samples=10**5, seed=0)
+        big = tail_constant(4, 2, method=METHOD_MC, samples=10**6, seed=0)
         assert big.abs_error < small.abs_error
 
     def test_deterministic_given_seed(self):
-        a = tail_constant(5, 3, samples=200_000, seed=11)
-        b = tail_constant(5, 3, samples=200_000, seed=11)
-        c = tail_constant(5, 3, samples=200_000, seed=12)
+        a = tail_constant(5, 3, method=METHOD_MC, samples=200_000, seed=11)
+        b = tail_constant(5, 3, method=METHOD_MC, samples=200_000, seed=11)
+        c = tail_constant(5, 3, method=METHOD_MC, samples=200_000, seed=12)
         assert a == b
         assert a.value != c.value
 
     def test_thread_count_does_not_change_result(self):
-        serial = tail_constant(5, 2, samples=400_000, seed=4, threads=1)
-        threaded = tail_constant(5, 2, samples=400_000, seed=4, threads=4)
+        serial = tail_constant(5, 2, method=METHOD_MC, samples=400_000, seed=4, threads=1)
+        threaded = tail_constant(5, 2, method=METHOD_MC, samples=400_000, seed=4, threads=4)
         assert serial.value == threaded.value
 
     @pytest.mark.parametrize(
@@ -152,17 +155,62 @@ class TestTailConstant:
             dict(k=3, t=0),
             dict(k=3, t=4),
             dict(k=3, t=2, method=METHOD_CLOSED),
-            dict(k=4, t=3, method=METHOD_QUAD),
+            dict(k=4, t=5, method=METHOD_SERIES),
             dict(k=3, t=2, method="dartboard"),
-            dict(k=3, t=2, samples=0),
+            dict(k=3, t=2, method=METHOD_MC, samples=0),
             dict(k=3, t=3, threads=0),  # checked before the exact diagonal
             dict(k=3, t=1, method=METHOD_CLOSED, threads=0),
             dict(k=3, t=2, samples=1000, threads=-1),
+            dict(k=61, t=2, method=METHOD_SERIES),
         ],
     )
     def test_domain_errors(self, kwargs):
         with pytest.raises(ValueError):
             tail_constant(**kwargs)
+
+
+# (k, t) pairs spread over the range tail_table covers, up to k = 60
+SERIES_PAIRS = [
+    (2, 1), (3, 2), (4, 3), (5, 2), (6, 4), (7, 1), (8, 3), (9, 8), (10, 5),
+    (12, 11), (15, 7), (20, 3), (20, 19), (25, 12), (30, 29), (40, 39),
+    (45, 20), (60, 2), (60, 30), (60, 59),
+]
+
+
+class TestSeries:
+    """The residue series against independent oracles."""
+
+    @pytest.mark.parametrize("k, t", SERIES_PAIRS)
+    def test_within_own_bound_of_mellin_oracle(self, k, t):
+        est = tail_constant(k, t, method=METHOD_SERIES)
+        assert (est.method, est.seed) == (METHOD_SERIES, None)
+        assert est.samples_or_nodes >= 1
+        assert 0.0 < est.abs_error <= 1e-12
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(est.value) - mellin_tail(k, t)) <= est.abs_error
+
+    def test_matches_frozen_truth(self):
+        for (k, t), truth in TAIL_TRUTH.items():
+            assert tail_constant(k, t).value == pytest.approx(truth, abs=1e-5)
+
+    def test_matches_fft_law(self):
+        for k in range(2, 9):
+            for t in range(1, k):
+                assert tail_constant(k, t).value == pytest.approx(
+                    semicircle_tail(k, t), abs=2e-4
+                )
+
+    @pytest.mark.parametrize("k, t", [(2, 1), (3, 2), (8, 7), (20, 19), (60, 59)])
+    def test_tail_bound_covers_residues(self, k, t):
+        # the bound on the residues from n on is at least residue n itself
+        for n in (1, 2):
+            assert abs(mellin_residue(k, t, n)) <= satotate._tail_bound(k, t, n)
+
+    def test_zeta_to_forty_digits(self):
+        with mpmath.workdps(50):
+            for m in range(2, 61):
+                exact = mpmath.zeta(m)
+                assert abs(mpmath.mpf(str(satotate._zeta(m))) - exact) <= 1e-37 * exact
 
 
 class TestEstimateRecord:
@@ -182,15 +230,16 @@ class TestEstimateRecord:
 
 class TestTable:
     def test_shape_and_methods(self):
-        table = tail_table(3, samples=50_000)
-        assert [len(row) for row in table] == [1, 2, 3]
-        for k0, row in enumerate(table):
-            k = k0 + 1
-            assert row[-1].value == 1.0 and row[-1].method == METHOD_CLOSED
-            if k > 1:
-                assert row[0].method == METHOD_CLOSED
-                for cell in row[1:-1]:
-                    assert cell.method == METHOD_MC
+        for method in (METHOD_SERIES, METHOD_MC):
+            table = tail_table(3, method=method, samples=50_000)
+            assert [len(row) for row in table] == [1, 2, 3]
+            for k0, row in enumerate(table):
+                k = k0 + 1
+                assert row[-1].value == 1.0 and row[-1].method == METHOD_CLOSED
+                if k > 1:
+                    assert row[0].method == METHOD_CLOSED
+                    for cell in row[1:-1]:
+                        assert cell.method == method
 
     def test_row_values_increase_in_t(self):
         table = tail_table(4, samples=200_000)
@@ -199,8 +248,8 @@ class TestTable:
             assert values == sorted(values)
 
     def test_max_k_limit(self):
-        with pytest.raises(ValueError):
-            tail_table(9)
+        with pytest.raises(ValueError, match="need 1 <= max_k <= 60"):
+            tail_table(61)
 
     def test_threads_must_be_positive(self):
         with pytest.raises(ValueError, match="need threads >= 1"):
