@@ -10,10 +10,10 @@ avoids every prime over p.
 Run me directly:  python3 demos/03_prime_splitting.py
 """
 from heckeslopes.numberfield import (
+    Defect,
     discriminant,
     embeddings,
     factor_mod_p,
-    is_ordinary,
     k_of_p,
     splitting_type,
     weil_bound_check,
@@ -39,11 +39,12 @@ for p in (2, 3, 5, 7, 17, 23, 31):
 print()
 
 # The defect of a = 3 + sqrt2 at various primes.  N(a) = 9 - 2 = 7, so
-# only primes over 7 can contain it.
+# only primes over 7 can contain it.  p is ordinary for a exactly when
+# the defect is zero and a is not the zero element.
 a = (3, 1)
 for p in (3, 5, 7, 31):
     d = k_of_p(a, SQRT2, p)
-    print(f"p={p:2d}: k(p)={d.k}  ordinary={is_ordinary(a, SQRT2, p)}")
+    print(f"p={p:2d}: k(p)={d.k}  ordinary={d == Defect(0, False)}")
 
 print()
 

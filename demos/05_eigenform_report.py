@@ -13,28 +13,25 @@ goes through the metadata classifier.
 
 Run me directly:  python3 demos/05_eigenform_report.py
 """
-import numpy as np
-
 from heckeslopes.pipeline import analyze_form, emit_report, guarantee, record_from_dict
 
 
 def trace_of_frobenius(p: int) -> int:
     """a_p = p + 1 - #E(F_p) by counting points on the affine chart."""
-    xs = np.arange(p, dtype=np.int64)
-    ys = np.arange(p, dtype=np.int64)
-    lhs_counts = np.bincount((ys * ys + ys) % p, minlength=p)
-    rhs = ((xs * xs) % p * xs - xs * xs - 10 * xs - 20) % p
-    affine = int(lhs_counts[rhs].sum())
+    lhs_counts = [0] * p  # how many y give each value of y^2 + y
+    for y in range(p):
+        lhs_counts[(y * y + y) % p] += 1
+    affine = sum(lhs_counts[(x**3 - x * x - 10 * x - 20) % p] for x in range(p))
     return p + 1 - (affine + 1)  # +1 for the point at infinity
 
 
 def primes_below(n):
-    sieve = np.ones(n, dtype=bool)
-    sieve[:2] = False
+    sieve = [True] * n
+    sieve[:2] = [False, False]
     for q in range(2, int(n ** 0.5) + 1):
         if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve)
+            sieve[q * q :: q] = [False] * len(range(q * q, n, q))
+    return [q for q in range(n) if sieve[q]]
 
 
 # Assemble the record.  The base field is Q (field_poly x), the Hecke
@@ -42,7 +39,7 @@ def primes_below(n):
 # prime 11.
 LIMIT = 200
 rows = [
-    {"p": int(p), "split_in_F": True, "a": [str(trace_of_frobenius(int(p)))]}
+    {"p": p, "split_in_F": True, "a": [str(trace_of_frobenius(p))]}
     for p in primes_below(LIMIT)
     if p != 11
 ]

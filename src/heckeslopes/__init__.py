@@ -22,7 +22,6 @@ from .numberfield import (
     element_in_prime,
     factor_mod_p,
     half_bound_check,
-    is_ordinary,
     k_of_p,
     splitting_type,
     weil_bound_check,
@@ -64,7 +63,6 @@ __all__ = [
     "element_in_prime",
     "Defect",
     "k_of_p",
-    "is_ordinary",
     "weil_bound_check",
     "half_bound_check",
     "CEstimate",

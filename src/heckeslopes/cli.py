@@ -13,6 +13,7 @@ fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -178,20 +179,7 @@ def _cmd_stc(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    print(
-        json.dumps(
-            {
-                "k": est.k,
-                "t": est.t,
-                "value": est.value,
-                "abs_error": est.abs_error,
-                "method": est.method,
-                "samples_or_nodes": est.samples_or_nodes,
-                "seed": est.seed,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(est), sort_keys=True))
     return 0
 
 

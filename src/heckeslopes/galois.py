@@ -243,9 +243,6 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
-
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
@@ -337,10 +334,12 @@ class FieldInteraction:
     """Coarse invariants of a coefficient field K over a base field F.
 
     ``deg_K``/``deg_F`` are the absolute degrees, ``deg_F_tilde`` the
-    degree of the Galois closure of F, ``galois_group_kind`` the shape
-    of Gal of the closure of K, and the discriminants are of K and F.
-    Unknown entries stay ``None`` and simply disable the rules that
-    need them.
+    degree of the Galois closure of F, ``galois_group_kind`` (one of
+    ``GROUP_KINDS``) the shape of Gal of the closure of K, and the
+    discriminants are of K and F.  Degrees and discriminants are
+    integers (not bools), degrees positive; anything else raises
+    ``ValueError``.  Unknown entries stay ``None`` and simply disable
+    the rules that need them.
     """
 
     deg_K: Optional[int] = None
@@ -353,9 +352,13 @@ class FieldInteraction:
     def __post_init__(self):
         if self.galois_group_kind is not None and self.galois_group_kind not in GROUP_KINDS:
             raise ValueError(f"unknown galois_group_kind: {self.galois_group_kind!r}")
-        for name in ("deg_K", "deg_F", "deg_F_tilde"):
+        for name in ("deg_K", "deg_F", "deg_F_tilde", "disc_K", "disc_F"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name.startswith("deg_") and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 

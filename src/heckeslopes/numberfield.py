@@ -14,9 +14,10 @@ The central quantity is::
     defect k(p) = sum of residue degrees of the primes above p
                   that contain a
 
-(0 exactly when ``a`` is a unit at every prime above ``p``, i.e. the
-ordinary case; ``a = 0`` lies in every prime and the full degree is
-returned with a flag).  When ``f`` mod ``p`` is squarefree its
+(0 exactly when ``a`` is a unit at every prime above ``p``; ``a = 0``
+lies in every prime and the full degree is returned with a flag).  So
+``p`` is ordinary for ``a`` exactly when ``k_of_p`` returns
+``Defect(0, False)``.  When ``f`` mod ``p`` is squarefree its
 factors are distinct, so k(p) = deg gcd(f mod p, a mod p) (Cohen, *A
 Course in Computational Algebraic Number Theory*, 3.4): ``k_of_p``
 takes one gcd and never factors.  In the same way ``splits_completely``
@@ -28,6 +29,9 @@ decomposition, then distinct-degree splitting, then randomized
 equal-degree splitting.  The draws come from a fixed
 ``random.Random(0)`` stream, and the sorted factor list does not
 depend on them anyway.
+
+Every modulus ``p`` must be prime (``ValueError`` otherwise), and
+``is_prime`` refuses, also with ``ValueError``, to decide p >= 3.3e24.
 
 ``embeddings`` (behind ``weil_bound_check``) uses only the standard
 library.  It certifies real roots to 1e-9 relative by an exact sign
@@ -53,7 +57,6 @@ __all__ = [
     "element_in_prime",
     "Defect",
     "k_of_p",
-    "is_ordinary",
     "splits_completely",
     "weil_bound_check",
     "half_bound_check",
@@ -94,12 +97,6 @@ def _deg(f) -> int:
 
 def _is_one(f) -> bool:
     return len(f) == 1 and f[0] == 1
-
-
-def _add(f, g, p):
-    n = max(len(f), len(g))
-    return _trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                  for i in range(n)])
 
 
 def _sub(f, g, p):
@@ -240,12 +237,13 @@ def _equal_degree(f, d, p, rng):
         if _deg(u) < 1:
             continue
         if p == 2:
-            # trace map u + u^2 + u^4 + ... splits over GF(2)
+            # trace map u + u^2 + u^4 + ... splits over GF(2), where
+            # adding is subtracting
             t = u[:]
             acc = u[:]
             for _ in range(d - 1):
                 acc = _pow_mod(acc, 2, f, p)
-                t = _add(t, acc, p)
+                t = _sub(t, acc, p)
             g = _gcd(f, t, p)
         else:
             v = _pow_mod(u, (p**d - 1) // 2, f, p)
@@ -288,16 +286,16 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
 
 @dataclass(frozen=True)
 class PrimeSplitting:
-    """Shape of ``p`` in K: factors of f mod p with multiplicities
-    (= ramification indices for unramified-order primes), residue
-    degrees, and the two degeneracy flags.  For monic f the flags
-    coincide: p | disc(f) exactly when f mod p has a repeated factor."""
+    """Shape of ``p`` in K: the factors of f mod p with multiplicities
+    (the ramification indices when Z[x] is maximal at p) and their
+    residue degrees.  ``ramified`` marks a repeated factor, which for
+    monic f happens exactly when p | disc(f); whether p ramifies in K
+    itself or only divides the index needs the Dedekind criterion."""
 
     p: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
     residue_degrees: tuple[int, ...]
     ramified: bool
-    index_warning: bool
 
 
 def _require_monic_and_prime(f: IntPoly, p: int) -> None:
@@ -310,21 +308,17 @@ def _require_monic_and_prime(f: IntPoly, p: int) -> None:
 def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
     """Factor the defining polynomial mod ``p`` and package the shape.
 
-    ``f`` must be monic (the caller asserts irreducibility over Q).
-    The degree identity sum(e_i * f_i) = deg f always holds.
+    ``f`` must be monic and ``p`` prime; irreducibility over Q is the
+    caller's claim.  The degree identity sum(e_i * f_i) = deg f always
+    holds.
     """
     _require_monic_and_prime(f, p)
     factors = tuple(factor_mod_p(f, p))
-    ramified = any(e > 1 for _, e in factors)
-    # p | disc(f) iff gcd(f, f') mod p is nonconstant, which for monic f
-    # is exactly the repeated-factor condition above
-    index_warning = ramified
     return PrimeSplitting(
         p=p,
         factors=factors,
         residue_degrees=tuple(len(g) - 1 for g, _ in factors),
-        ramified=ramified,
-        index_warning=index_warning,
+        ramified=any(e > 1 for _, e in factors),
     )
 
 
@@ -349,7 +343,10 @@ def _require_integer_coords(coords: Sequence[Fraction]) -> None:
 def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
     """Whether the integral element with power-basis coordinates ``a``
     lies in the prime (p, g(x)) — i.e. its reduction mod p is divisible
-    by the residue factor ``g``."""
+    by the residue factor ``g``.  ``p`` must be prime, as in ``k_of_p``:
+    modulo a composite the reduction is not a residue field."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     coords = [Fraction(c) for c in a]
     _require_integer_coords(coords)
     apoly = _reduce([int(c) for c in coords], p)
@@ -398,13 +395,6 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     # a = 0 mod p gives gcd(fb, 0) = fb: every prime above p
     apoly = _reduce([int(c) for c in coords], p)
     return Defect(_deg(_gcd(fb, apoly, p)), False)
-
-
-def is_ordinary(a: Sequence[Coord], f: IntPoly, p: int) -> bool:
-    """True when ``a`` is nonzero and avoids every prime above ``p``
-    (defect zero)."""
-    defect = k_of_p(a, f, p)
-    return (not defect.all_primes) and defect.k == 0
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:

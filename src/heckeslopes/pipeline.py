@@ -344,13 +344,6 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
         unknown = set(raw).difference(_INTERACT_KEYS)
         if unknown:
             _fail(label, f"interact.{sorted(unknown)[0]}", "unknown key")
-        for key in _INTERACT_KEYS:
-            if key != "galois_group_kind" and key in raw and (
-                not isinstance(raw[key], int) or isinstance(raw[key], bool)
-            ):
-                _fail(label, f"interact.{key}", "must be an integer")
-        if "galois_group_kind" in raw and not isinstance(raw["galois_group_kind"], str):
-            _fail(label, "interact.galois_group_kind", "must be a string")
         try:
             interact = FieldInteraction(**raw)
         except ValueError as exc:
@@ -366,7 +359,11 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
         if not isinstance(item, dict) or set(item) != {"p", "split_in_F", "a"}:
             _fail(label, where, "must be an object with keys p, split_in_F, a")
         p = item["p"]
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        try:
+            prime = isinstance(p, int) and not isinstance(p, bool) and is_prime(p)
+        except ValueError as exc:
+            _fail(label, f"{where}.p", str(exc))
+        if not prime:
             _fail(label, f"{where}.p", f"{p!r} is not a prime")
         if p in seen_p:
             _fail(label, f"{where}.p", f"duplicate prime {p}")
@@ -465,27 +462,20 @@ def _analyze_entry(rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset) -> Pri
             "above the Hodge polygon with the same endpoints"
         )
     if defect.all_primes:
-        return PrimeReport(
-            p=p,
-            status=STATUS_DEGENERATE_AP_ZERO,
-            k_p=defect.k,
-            newton=newton,
-            hodge=hodge,
-            ordinary=False,
-            weil_ok=weil_ok,
-            # the product-formula argument behind the half bound needs
-            # a_p != 0, so it is never applicable here
-            half_bound="not_applicable",
-        )
+        # a_p = 0: k = k_f >= 1, so not ordinary, and the product-formula
+        # argument behind the half bound needs a_p != 0
+        status, half_bound = STATUS_DEGENERATE_AP_ZERO, "not_applicable"
+    else:
+        status, half_bound = STATUS_ANALYZED, half_bound_check(defect.k, k_f, p)
     return PrimeReport(
         p=p,
-        status=STATUS_ANALYZED,
+        status=status,
         k_p=defect.k,
         newton=newton,
         hodge=hodge,
         ordinary=defect.k == 0,
         weil_ok=weil_ok,
-        half_bound=half_bound_check(defect.k, k_f, p),
+        half_bound=half_bound,
     )
 
 
@@ -568,7 +558,11 @@ def guarantee(rec: FormRecord) -> Guarantee:
     if rec.cm:
         cands.append(Guarantee(CASE_CM, Fraction(0), DENSITY_PRINCIPAL))
 
-    facts = interact_rules(rec.interact) if rec.interact is not None else frozenset()
+    try:
+        facts = interact_rules(rec.interact) if rec.interact is not None else frozenset()
+    except ValueError as exc:
+        # a deg_K too large for is_prime to decide
+        raise DataError(f"record {rec.label!r}, field 'interact': {exc}") from exc
     zero_slope_fact = bool(
         {FACT_SLOPE_ZERO_OVER_F, FACT_SLOPE_ZERO_OVER_F_TILDE} & facts
     )

@@ -307,6 +307,27 @@ class TestAnalyze:
         path.write_text(json.dumps([dict(FORM, label="bad\tlabel\nx")]))
         assert run(capsys, ["analyze", str(path)]) == (2, "", UNPRINTABLE_LABEL_ERROR)
 
+    @pytest.mark.parametrize(
+        "p,problem",
+        [
+            # psi_12 = 399165290221 * 798330580441 fools the twelve bases 2..37
+            (318665857834031151167461, "318665857834031151167461 is not a prime"),
+            (
+                2**89 - 1,
+                "618970019642690137449562111 is too large to test for primality "
+                "(the limit is 3317044064679887385961981)",
+            ),
+        ],
+    )
+    def test_prime_outside_the_deterministic_test_is_data_error(self, capsys, tmp_path, p, problem):
+        golden = json.loads((Path(__file__).parent / "data" / "golden_forms.json").read_text())[0]
+        assert golden["label"] == "golden.sqrt2"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([dict(golden, ap=[dict(golden["ap"][1], p=p)])]))
+        assert run(capsys, ["analyze", str(path)]) == (
+            2, "", f"error: data: record 'golden.sqrt2', field 'ap[0].p': {problem}\n"
+        )
+
     def test_newton_below_hodge_is_data_error(self, capsys, forms_file, monkeypatch):
         hodge = hodge_polygon(FORM["d"], len(FORM["hecke_poly"]) - 1)
         assert hodge.rank == BELOW_HODGE.rank and hodge.integral == BELOW_HODGE.integral
@@ -354,6 +375,23 @@ class TestClassify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([dict(FORM, ap=[]), dict(FORM, label="bad\tlabel\nx", ap=[])]))
         assert run(capsys, ["classify", str(path)]) == (2, "", UNPRINTABLE_LABEL_ERROR.replace("#0", "#1"))
+
+    def test_degree_beyond_primality_range_is_data_error(self, capsys, tmp_path):
+        psi_13 = 3317044064679887385961981
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([dict(FORM, ap=[], interact={"deg_K": psi_13, "deg_F": 1})]))
+        code, out, err = run(capsys, ["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: data: record 'demo.sqrt2', field 'interact': ")
+        assert err.count("\n") == 1
+
+    def test_interact_type_error_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([dict(FORM, ap=[], interact={"deg_K": True})]))
+        assert run(capsys, ["classify", str(path)]) == (
+            2, "", "error: data: record 'demo.sqrt2', field 'interact': "
+            "deg_K must be an integer, got True\n"
+        )
 
 
 class TestGlobalFlags:

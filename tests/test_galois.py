@@ -290,3 +290,22 @@ class TestInteractRules:
     def test_nonpositive_degree_rejected(self):
         with pytest.raises(ValueError):
             FieldInteraction(deg_K=0)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(deg_K=True), "deg_K must be an integer, got True"),
+            (dict(disc_K=1.5), "disc_K must be an integer, got 1.5"),
+            (dict(deg_F="2"), "deg_F must be an integer, got '2'"),
+            (dict(galois_group_kind=5), "unknown galois_group_kind: 5"),
+        ],
+    )
+    def test_wrong_types_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            FieldInteraction(**kwargs)
+        assert str(err.value) == message
+
+    def test_degree_beyond_primality_range_refused(self):
+        # is_prime decides only n < 3317044064679887385961981
+        with pytest.raises(ValueError, match="too large"):
+            interact_rules(FieldInteraction(deg_K=3317044064679887385961981, deg_F=1))

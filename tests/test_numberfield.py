@@ -14,7 +14,7 @@ from heckeslopes.numberfield import (
     embeddings,
     factor_mod_p,
     half_bound_check,
-    is_ordinary,
+    is_prime,
     k_of_p,
     splitting_type,
     weil_bound_check,
@@ -61,16 +61,10 @@ class TestFactorModP:
         ]
 
     def test_equal_degree_splitting_mod_two(self):
-        # x^4 + x^3 + x^2 + x + 1 is the product of two irreducible
-        # quadratics... check by reassembly rather than by fixture
-        f = (1, 1, 1, 1, 1, 1, 1)  # x^6+x^5+...+1 mod 2 = (x^3+x+1)(x^3+x^2+1)*(x+1)^0?
-        factors = factor_mod_p(f, 2)
-        assert sum(len(g) - 1 for g, m in factors for _ in range(m)) == 6
-        prod = [1]
-        for g, m in factors:
-            for _ in range(m):
-                prod = poly_mul_mod(prod, list(g), 2)
-        assert tuple(prod) == tuple(c % 2 for c in f)
+        # x^6 + x^5 + ... + 1 = (x^7 - 1)/(x - 1) is the product of the two
+        # irreducible cubics mod 2; the p = 2 branch splits them by the
+        # trace map
+        assert factor_mod_p((1, 1, 1, 1, 1, 1, 1), 2) == [((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1)]
 
     def test_output_sorted(self):
         factors = factor_mod_p((0, -1, 0, 0, 0, 1), 5)
@@ -104,16 +98,16 @@ class TestSplittingType:
     def test_split(self):
         s = splitting_type(SQRT2, 7)
         assert s.residue_degrees == (1, 1)
-        assert not s.ramified and not s.index_warning
+        assert not s.ramified
 
     def test_inert(self):
         s = splitting_type((1, 0, 1), 3)
         assert s.residue_degrees == (2,)
         assert not s.ramified
 
-    def test_ramified_sets_index_warning(self):
+    def test_ramified(self):
         s = splitting_type(SQRT2, 2)
-        assert s.ramified and s.index_warning
+        assert s.ramified
         assert s.residue_degrees == (1,)
 
     def test_requires_monic(self):
@@ -161,6 +155,12 @@ class TestElementInPrime:
         with pytest.raises(ValueError):
             element_in_prime((Fraction(1, 2), 0), (3, 1), 7)
 
+    @pytest.mark.parametrize("a,g,n", [((3, 1), (3, 1), 9), ((2, 0), (1, 1), 4), ((0, 0), (0, 1), 1)])
+    def test_composite_modulus_rejected(self, a, g, n):
+        # Z/9, Z/4 and Z/1 are not fields, so (n, g) is no prime; k_of_p refuses them too
+        with pytest.raises(ValueError, match="is not prime"):
+            element_in_prime(a, g, n)
+
 
 class TestDefect:
     def test_rational_field(self):
@@ -188,11 +188,6 @@ class TestDefect:
     def test_errors_are_arithmetic_errors(self):
         assert issubclass(RamifiedPrimeError, ArithmeticError)
         assert issubclass(IndexWarningError, ArithmeticError)
-
-    def test_is_ordinary(self):
-        assert is_ordinary((-1,), X, 3) is True
-        assert is_ordinary((5,), X, 5) is False
-        assert is_ordinary((0,), X, 5) is False
 
     def test_exhaustive_against_divisibility_sample(self):
         for p in (3, 7, 31):
@@ -288,3 +283,29 @@ class TestHalfBound:
     )
     def test_cases(self, k_p, k_f, p, expect):
         assert half_bound_check(k_p, k_f, p) == expect
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+
+
+class TestIsPrime:
+    def test_agrees_with_sieve_below_1e5(self):
+        primes = set(primes_below(10**5))
+        assert [n for n in range(-5, 10**5) if is_prime(n)] == sorted(primes)
+
+    @pytest.mark.parametrize(
+        "n",
+        # the least strong pseudoprimes to the first 4, 6, 8, 11 and 12 prime bases
+        [3215031751, 3474749660383, 341550071728321, 3825123056546413051, PSI_12],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert is_prime(n) is False
+
+    def test_large_prime(self):
+        assert is_prime(2**61 - 1) is True
+
+    def test_refuses_beyond_the_deterministic_range(self):
+        # 2^89 - 1 is prime, but above psi_13 = 3317044064679887385961981
+        # thirteen bases no longer prove it
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(2**89 - 1)

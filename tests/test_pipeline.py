@@ -146,6 +146,14 @@ class TestSchema:
             (dict(label=7), "label"),
             (dict(label="bad\tlabel\nx"), "label"),
             (dict(label="ends in a carriage return\r"), "label"),
+            (dict(interact={"deg_K": True}), "'interact': deg_K must be an integer"),
+            (dict(interact={"disc_F": "8"}), "'interact': disc_F must be an integer"),
+            (dict(interact={"galois_group_kind": 5}), "'interact': unknown galois_group_kind"),
+            # psi_12, a strong pseudoprime to the twelve prime bases 2..37
+            (dict(ap=[{"p": 318665857834031151167461, "split_in_F": True, "a": ["1"]}]),
+             "'ap[0].p': 318665857834031151167461 is not a prime"),
+            (dict(ap=[{"p": 2**89 - 1, "split_in_F": True, "a": ["1"]}]),
+             "'ap[0].p': 618970019642690137449562111 is too large"),
         ],
     )
     def test_rejects_bad_records(self, mutation, fragment):
