@@ -39,7 +39,6 @@ from .pipeline import (
 from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon
 from .satotate import (
     METHOD_CLOSED,
-    METHOD_MC,
     METHOD_SERIES,
     CEstimate,
     tail_constant,
@@ -68,7 +67,6 @@ __all__ = [
     "CEstimate",
     "METHOD_CLOSED",
     "METHOD_SERIES",
-    "METHOD_MC",
     "tail_constant",
     "tail_constant_closed_form",
     "tail_table",

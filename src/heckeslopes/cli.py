@@ -6,8 +6,7 @@ Subcommands: ``polygon`` (semiring ops, order, standard families),
 them), ``analyze`` (per-prime reports for a JSON record file) and
 ``classify`` (metadata guarantees).  Exit codes: 0 success, 1 usage
 error, 2 malformed data; errors go to stderr as single
-machine-parsable lines.  Output is byte-identical across runs for
-fixed flags and seed.
+machine-parsable lines.  Output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .pipeline import (
     vertices_payload,
 )
 from .polygon import SlopeMultiset, frobenius_polygon
-from .satotate import METHOD_CLOSED, METHOD_MC, METHOD_SERIES, tail_constant, tail_table
+from .satotate import METHOD_CLOSED, METHOD_SERIES, tail_constant, tail_table
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -44,12 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="heckeslopes", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for the Monte Carlo runs of stc and table"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for Monte Carlo in stc and table"
-    )
+    # --seed, --threads and table --samples are read by nothing.  They
+    # stay parseable because perfbench/run.py passes them on every
+    # invocation, which would otherwise exit 1.
+    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("polygon", help="slope multiset operations")
@@ -75,14 +73,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stc", help="one semicircle tail constant c(k,t)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=["series", "mc", "closed"], default="series")
-    p.add_argument("--samples", type=int, default=10**7)
+    p.add_argument("--method", choices=["series", "closed"], default="series")
     p.set_defaults(func=_cmd_stc)
 
     p = sub.add_parser("table", help="triangular table of tail constants")
     p.add_argument("--max-k", type=int, required=True, dest="max_k")
-    p.add_argument("--method", choices=["series", "mc"], default="series")
-    p.add_argument("--samples", type=int, default=10**7)
+    p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("analyze", help="per-prime reports for a JSON record file")
@@ -157,28 +153,11 @@ def _cmd_slope(args) -> int:
     return 0
 
 
-_METHOD_MAP = {"series": METHOD_SERIES, "mc": METHOD_MC, "closed": METHOD_CLOSED}
-
-
-def _method(args) -> str:
-    """The library method for ``--method``; Monte Carlo needs numpy."""
-    if args.method == "mc":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            raise UsageError("--method mc needs numpy (pip install 'heckeslopes[mc]')") from None
-    return _METHOD_MAP[args.method]
+_METHOD_MAP = {"series": METHOD_SERIES, "closed": METHOD_CLOSED}
 
 
 def _cmd_stc(args) -> int:
-    est = tail_constant(
-        args.k,
-        args.t,
-        method=_method(args),
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    est = tail_constant(args.k, args.t, method=_METHOD_MAP[args.method])
     print(json.dumps(dataclasses.asdict(est), sort_keys=True))
     return 0
 
@@ -190,9 +169,7 @@ def _format_entry(est) -> str:
 
 
 def _cmd_table(args) -> int:
-    rows = tail_table(
-        args.max_k, _method(args), samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    rows = tail_table(args.max_k)
     print("k\\t\t" + "\t".join(f"t={t}" for t in range(1, args.max_k + 1)))
     for k, row in enumerate(rows, start=1):
         print(f"k={k}\t" + "\t".join(_format_entry(est) for est in row))
@@ -231,7 +208,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _require(args.threads >= 1, "--threads must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

@@ -11,9 +11,10 @@ density of primes with ordinariness defect < k when t coordinate
 fields satisfy an equidistribution hypothesis.  For t = 1 there is a
 closed form
 
-    c(k, 1) = (2/pi) * (u*sqrt(1 - u^2) + arcsin(u)),  u = 2^(1-k),
+    c(k, 1) = (2/pi) * (u*sqrt(1 - u^2) + arcsin(u)),  u = 2^-k,
 
-asymptotically 1/(pi * 2^(k-2)).  For t = k the constraint is vacuous
+(u is half the threshold 2^(1-k) on |y|, since the support has radius
+2), asymptotically 1/(pi * 2^(k-2)).  For t = k the constraint is vacuous
 (|y_i| < 2 always), so the diagonal is exactly 1.
 
 Every entry is also the sum of a residue series (Flajolet, Gourdon and
@@ -66,10 +67,8 @@ summation.  ``abs_error`` of a series value is the sum of three bounds:
   It grows with t: 8e-32 at k = 60, t = 59.
 - the rounding of the decimal sum to a float, 2^-52 of the value.
 
-Monte Carlo (vectorized rejection sampling over deterministic
-substreams) stays as an explicit cross-check.  numpy is imported only
-when it runs, so importing this module, the closed form and the series
-need nothing outside the standard library.
+The closed form and the series are the only computations of c(k, t);
+both need nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -79,19 +78,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import asin, exp, factorial, lgamma, log, pi, prod, sqrt, tanh
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional
 
 __all__ = [
     "density",
     "cdf",
-    "sample",
     "CEstimate",
     "METHOD_CLOSED",
     "METHOD_SERIES",
-    "METHOD_MC",
     "tail_constant_closed_form",
     "tail_constant",
     "tail_table",
@@ -99,9 +93,6 @@ __all__ = [
 
 METHOD_CLOSED = "closed_form"
 METHOD_SERIES = "series"
-METHOD_MC = "monte_carlo"
-
-_SUBSTREAMS = 16
 
 # largest k of the series and the table: the range the series' error
 # bound is checked over against an independent oracle
@@ -131,35 +122,13 @@ def cdf(y: float) -> float:
     return 0.5 + y * sqrt(4.0 - y * y) / (4.0 * pi) + asin(y / 2.0) / pi
 
 
-def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` semicircle variates by rejection from the uniform
-    envelope on [-2, 2] (acceptance rate pi/4)."""
-    import numpy as np
-
-    out = np.empty(size)
-    have = 0
-    while have < size:
-        need = size - have
-        # the envelope accepts ~pi/4 of proposals; 1.35 overshoot keeps
-        # the expected number of rounds very close to 1
-        m = max(64, int(need * 1.35))
-        y = rng.uniform(-2.0, 2.0, m)
-        u = rng.uniform(0.0, 1.0, m)
-        accepted = y[u * 2.0 < np.sqrt(4.0 - y * y)]
-        take = min(need, accepted.size)
-        out[have : have + take] = accepted[:take]
-        have += take
-    return out
-
-
 @dataclass(frozen=True)
 class CEstimate:
     """One tail-constant value with an explicit error bound.
 
-    ``abs_error`` is three sample standard deviations for Monte Carlo,
-    the tail, working-precision and rounding bounds of the module
-    docstring for the series, and a floating-point bound for closed
-    forms.  ``seed`` is None unless randomness was used.
+    ``abs_error`` is the tail, working-precision and rounding bounds of
+    the module docstring for the series, and a floating-point bound for
+    closed forms.  ``seed`` is always None: nothing is sampled.
     """
 
     k: int
@@ -193,40 +162,6 @@ def _check_domain(k: int, t: int) -> None:
         raise ValueError("need k >= 1")
     if not 1 <= t <= k:
         raise ValueError("need 1 <= t <= k")
-
-
-def _mc_estimate(k, t, samples, seed, threads):
-    import numpy as np
-
-    substreams = min(_SUBSTREAMS, samples)
-    sizes = [samples // substreams] * substreams
-    for i in range(samples % substreams):
-        sizes[i] += 1
-    threshold = 2.0 ** (t - k)
-
-    def run(stream_index: int) -> int:
-        rng = np.random.default_rng([seed, stream_index])
-        n = sizes[stream_index]
-        prod = np.abs(sample(rng, n))
-        for _ in range(t - 1):
-            prod *= np.abs(sample(rng, n))
-        return int(np.count_nonzero(prod < threshold))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run, range(substreams)))
-    else:
-        hits = sum(run(i) for i in range(substreams))
-    if hits == 0:
-        raise ValueError(
-            f"no Monte Carlo hits for (k={k}, t={t}) with {samples} samples; "
-            "increase samples or use the series/closed form"
-        )
-    p = hits / samples
-    err = 3.0 * sqrt(p * (1.0 - p) / samples)
-    return p, err
 
 
 def _decimal(q: Fraction) -> Decimal:
@@ -341,74 +276,37 @@ def _series_estimate(k: int, t: int):
     return value, tail + working + 2.0**-52 * value, n
 
 
-def tail_constant(
-    k: int,
-    t: int,
-    method: str = METHOD_SERIES,
-    samples: int = 10**7,
-    seed: int = 0,
-    threads: int = 1,
-) -> CEstimate:
-    """Estimate c(k, t) = product-measure probability of
+def tail_constant(k: int, t: int, method: str = METHOD_SERIES) -> CEstimate:
+    """c(k, t), the product-measure probability of
     |y_1 * ... * y_t| < 2^(t-k).
 
     The diagonal t = k is exactly 1 and is returned as a closed form
     whatever ``method`` says.  ``closed_form`` needs t = 1.  ``series``
     sums the residue series of the module docstring, for k <= 60; its
-    ``samples_or_nodes`` is the number of residues summed.  Monte Carlo
-    draws ``samples`` total variates per coordinate across up to 16
-    independently seeded substreams (generator seeded with
-    (seed, stream_index)) on ``threads`` worker threads, so the result
-    is reproducible and independent of ``threads``, which must be >= 1
-    for every method.
+    ``samples_or_nodes`` is the number of residues summed.
     """
     _check_domain(k, t)
-    if method not in (METHOD_CLOSED, METHOD_SERIES, METHOD_MC):
+    if method not in (METHOD_CLOSED, METHOD_SERIES):
         raise ValueError(f"unknown method: {method!r}")
-    if threads < 1:
-        raise ValueError("need threads >= 1")
     if t == k:
         return CEstimate(k, t, 1.0, 0.0, METHOD_CLOSED, 0, None)
     if method == METHOD_CLOSED:
         if t != 1:
             raise ValueError("closed form only covers t = 1")
         return CEstimate(k, t, tail_constant_closed_form(k), 1e-15, METHOD_CLOSED, 0, None)
-    if method == METHOD_SERIES:
-        if k > _MAX_K:
-            raise ValueError(f"series covers k <= {_MAX_K}")
-        value, err, terms = _series_estimate(k, t)
-        return CEstimate(k, t, value, err, METHOD_SERIES, terms, None)
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    value, err = _mc_estimate(k, t, samples, seed, threads)
-    return CEstimate(k, t, value, err, METHOD_MC, samples, seed)
+    if k > _MAX_K:
+        raise ValueError(f"series covers k <= {_MAX_K}")
+    value, err, terms = _series_estimate(k, t)
+    return CEstimate(k, t, value, err, METHOD_SERIES, terms, None)
 
 
-def tail_table(
-    max_k: int,
-    method: str = METHOD_SERIES,
-    samples: int = 10**7,
-    seed: int = 0,
-    threads: int = 1,
-) -> list[list[CEstimate]]:
-    """Lower-triangular table of c(k, t) estimates for k <= max_k <= 60:
-    row k lists t = 1 .. k.  Diagonal entries are exact, the t = 1
-    column uses the closed form, everything else ``method`` (the
-    series, or Monte Carlo with ``samples``, ``seed`` and
-    ``threads``)."""
+def tail_table(max_k: int) -> list[list[CEstimate]]:
+    """Lower-triangular table of c(k, t) for k <= max_k <= 60: row k
+    lists t = 1 .. k.  Diagonal entries are exact, the t = 1 column uses
+    the closed form and everything else the series."""
     if not 1 <= max_k <= _MAX_K:
         raise ValueError(f"need 1 <= max_k <= {_MAX_K}")
     return [
-        [
-            tail_constant(
-                k,
-                t,
-                METHOD_CLOSED if t == 1 else method,
-                samples=samples,
-                seed=seed,
-                threads=threads,
-            )
-            for t in range(1, k + 1)
-        ]
+        [tail_constant(k, t, METHOD_CLOSED if t == 1 else METHOD_SERIES) for t in range(1, k + 1)]
         for k in range(1, max_k + 1)
     ]

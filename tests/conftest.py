@@ -92,6 +92,23 @@ def semicircle_tail(k: int, t: int, n_grid: int = 1 << 16) -> float:
     return float(conv[grid < (t - k) * np.log(2.0)].sum())
 
 
+def semicircle_sample(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` semicircle variates on [-2, 2]: 4B - 2 with B ~ Beta(3/2, 3/2),
+    whose density is proportional to sqrt(b (1 - b)) = sqrt(4 - y^2)/4."""
+    return 4.0 * rng.beta(1.5, 1.5, size) - 2.0
+
+
+def monte_carlo_tail(k: int, t: int, samples: int, seed: int) -> float:
+    """The fraction of ``samples`` seeded draws of (y_1, ..., y_t) with
+    |y_1 * ... * y_t| < 2^(t-k): a sampling oracle for c(k, t), with
+    standard deviation sqrt(c (1 - c) / samples)."""
+    rng = np.random.default_rng(seed)
+    product = np.ones(samples)
+    for _ in range(t):
+        product *= np.abs(semicircle_sample(rng, samples))
+    return np.count_nonzero(product < 2.0 ** (t - k)) / samples
+
+
 def _mellin_semicircle(s):
     """E X^s for X = |y|/2, y semicircular: the Beta integral
     (4/pi) int_0^1 x^s sqrt(1 - x^2) dx in Gamma functions."""

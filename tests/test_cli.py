@@ -161,27 +161,11 @@ class TestTailConstant:
         assert payload["samples_or_nodes"] == 0
         assert abs(payload["value"] - 0.1587395) < 1e-6
 
-    def test_mc_deterministic_and_seed_sensitive(self, capsys):
-        argv = ["--seed", "5", "stc", "--k", "2", "--t", "1", "--method", "mc",
-                "--samples", "20000"]
-        first = run(capsys, argv)
-        second = run(capsys, argv)
-        other = run(capsys, ["--seed", "6"] + argv[2:])
-        assert first == second
-        assert first != other
-        assert json.loads(first[1])["seed"] == 5
-
     def test_bad_arguments(self, capsys):
         cases = [
             (["--k", "2", "--t", "3"], "need 1 <= t <= k"),
             (["--k", "4", "--t", "5", "--method", "series"], "need 1 <= t <= k"),
             (["--k", "4", "--t", "2", "--method", "closed"], "closed form only covers t = 1"),
-            (["--k", "4", "--t", "2", "--method", "mc", "--samples", "0"], "need samples >= 1"),
-            (
-                ["--k", "9", "--t", "1", "--method", "mc", "--samples", "2"],
-                "no Monte Carlo hits for (k=9, t=1) with 2 samples; "
-                "increase samples or use the series/closed form",
-            ),
         ]
         for argv, message in cases:
             code, out, err = run(capsys, ["stc"] + argv)
@@ -190,7 +174,7 @@ class TestTailConstant:
 
 class TestTable:
     def test_small_table(self, capsys):
-        code, out, _ = run(capsys, ["table", "--max-k", "2", "--samples", "5000"])
+        code, out, _ = run(capsys, ["table", "--max-k", "2"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "k\\t\tt=1\tt=2"
@@ -201,7 +185,7 @@ class TestTable:
         assert cells[2] == "1"
 
     def test_deterministic(self, capsys):
-        argv = ["table", "--max-k", "3", "--samples", "4000"]
+        argv = ["table", "--max-k", "3"]
         assert run(capsys, argv) == run(capsys, argv)
 
     def test_max_k_out_of_range(self, capsys):
@@ -209,20 +193,18 @@ class TestTable:
         assert (code, out, err) == (1, "", "error: usage: need 1 <= max_k <= 60\n")
 
     @pytest.mark.parametrize(
-        "argv, golden",
+        "argv",
         [
-            (["table", "--max-k", "8"], "golden_table.tsv"),
-            (
-                ["--seed", "3", "table", "--method", "mc", "--max-k", "8", "--samples", "200000"],
-                "golden_table_mc.tsv",
-            ),
+            ["table", "--max-k", "8"],
+            # the benchmark's argv: --threads, --seed and --samples are ignored
+            ["--threads", "1", "--seed", "3", "table", "--max-k", "8", "--samples", "200000"],
         ],
-        ids=["series", "mc"],
+        ids=["series", "ignored-flags"],
     )
-    def test_matches_golden_bytes(self, capsysbinary, argv, golden):
+    def test_matches_golden_bytes(self, capsysbinary, argv):
         assert main(argv) == 0
         out = capsysbinary.readouterr().out
-        assert out == (Path(__file__).parent / "data" / golden).read_bytes()
+        assert out == (Path(__file__).parent / "data" / "golden_table.tsv").read_bytes()
 
 
 class TestAnalyze:
@@ -395,16 +377,9 @@ class TestClassify:
 
 
 class TestGlobalFlags:
-    def test_threads_must_be_positive(self, capsys):
-        code, _, err = run(capsys, ["--threads", "0", "stc", "--k", "2", "--t", "1"])
-        assert code == 1
-        assert err.startswith("error: usage:")
-
     def test_threads_do_not_change_output(self, capsys):
-        argv = ["stc", "--k", "3", "--t", "2", "--method", "mc", "--samples", "40000"]
-        one = run(capsys, ["--threads", "1"] + argv)
-        four = run(capsys, ["--threads", "4"] + argv)
-        assert one == four
+        argv = ["stc", "--k", "3", "--t", "2"]
+        assert run(capsys, ["--threads", "1"] + argv) == run(capsys, ["--threads", "4"] + argv)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -448,22 +423,20 @@ def run_fresh(script, argv, cwd, flags=()):
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv",
     [
-        (["polygon", "--op", "dual", "--a", "0,1"], ""),
-        (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ""),
-        (["classify", "FORMS"], ""),
-        (["analyze", "FORMS"], ""),
-        (["table", "--max-k", "3", "--samples", "2000"], ""),
-        (["stc", "--k", "3", "--t", "2"], ""),
-        (["stc", "--k", "3", "--t", "2", "--method", "mc", "--samples", "2000"], "numpy"),
+        ["polygon", "--op", "dual", "--a", "0,1"],
+        ["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"],
+        ["classify", "FORMS"],
+        ["analyze", "FORMS"],
+        ["table", "--max-k", "3"],
+        ["stc", "--k", "3", "--t", "2"],
     ],
-    ids=["polygon", "slope", "classify", "analyze", "table", "stc", "stc-mc"],
+    ids=["polygon", "slope", "classify", "analyze", "table", "stc"],
 )
-def test_heavy_imports_only_where_used(forms_file, argv, loaded):
-    """numpy and SciPy are loaded only by the commands that compute
-    with them: a fresh process lists what a command left in
-    ``sys.modules``."""
+def test_heavy_imports_only_where_used(forms_file, argv):
+    """No command loads numpy or SciPy: a fresh process lists what a
+    command left in ``sys.modules``."""
     script = (
         "import sys; from heckeslopes.cli import main; code = main(sys.argv[1:]); "
         "print('loaded=' + ','.join(m for m in ('numpy', 'scipy') if m in sys.modules), "
@@ -472,7 +445,7 @@ def test_heavy_imports_only_where_used(forms_file, argv, loaded):
     argv = [str(forms_file) if a == "FORMS" else a for a in argv]
     proc = run_fresh(script, argv, forms_file.parent)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"loaded={loaded}"
+    assert proc.stderr.splitlines()[-1] == "loaded="
 
 
 @pytest.mark.parametrize(
@@ -484,16 +457,16 @@ def test_heavy_imports_only_where_used(forms_file, argv, loaded):
     ids=["stc", "table"],
 )
 def test_mc_without_numpy_is_one_usage_line(tmp_path, argv):
+    """``--method mc`` is one usage line, whether or not numpy is
+    installed."""
     script = (
         "import sys; sys.modules['numpy'] = None; from heckeslopes.cli import main; "
         "sys.exit(main(sys.argv[1:]))"
     )
     proc = run_fresh(script, argv, tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1,
-        "",
-        "error: usage: --method mc needs numpy (pip install 'heckeslopes[mc]')\n",
-    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: usage: ")
 
 
 def test_newton_below_hodge_is_data_error_under_optimize(forms_file):

@@ -5,16 +5,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import TAIL_TRUTH, mellin_residue, mellin_tail, semicircle_tail
+from conftest import (
+    TAIL_TRUTH,
+    mellin_residue,
+    mellin_tail,
+    monte_carlo_tail,
+    semicircle_sample,
+    semicircle_tail,
+)
 from heckeslopes import satotate
 from heckeslopes.satotate import (
     METHOD_CLOSED,
-    METHOD_MC,
     METHOD_SERIES,
     CEstimate,
     cdf,
     density,
-    sample,
     tail_constant,
     tail_constant_closed_form,
     tail_table,
@@ -49,16 +54,20 @@ class TestDistribution:
             assert slope == pytest.approx(density(y), abs=1e-6)
 
     def test_sampler_reproducible_and_in_range(self):
-        a = sample(np.random.default_rng(7), 10_000)
-        b = sample(np.random.default_rng(7), 10_000)
+        # the sampler of the Monte Carlo oracle in conftest
+        a = semicircle_sample(np.random.default_rng(7), 10_000)
+        b = semicircle_sample(np.random.default_rng(7), 10_000)
         assert np.array_equal(a, b)
         assert a.min() >= -2 and a.max() <= 2
-        assert sample(np.random.default_rng(8), 100).shape == (100,)
+        assert semicircle_sample(np.random.default_rng(8), 100).shape == (100,)
 
     def test_sampler_moments(self):
-        xs = sample(np.random.default_rng(3), 200_000)
+        xs = semicircle_sample(np.random.default_rng(3), 200_000)
         assert abs(xs.mean()) < 0.01
         assert xs.var() == pytest.approx(1.0, abs=0.02)
+        # and its distribution function, at a few points
+        for y in (-1.5, -0.3, 0.9):
+            assert np.mean(xs < y) == pytest.approx(cdf(y), abs=0.005)
 
 
 class TestClosedForm:
@@ -125,28 +134,13 @@ class TestTailConstant:
         assert est.samples_or_nodes > 0 and est.seed is None
 
     def test_monte_carlo_hits_truth(self):
-        for (k, t), truth in [((4, 2), 0.32024), ((6, 5), 0.77201)]:
-            est = tail_constant(k, t, method=METHOD_MC, samples=10**6, seed=0)
-            # 10^6 samples put three sigma near 1.5e-3
-            assert est.value == pytest.approx(truth, abs=2.5e-3)
-            assert est.value - est.abs_error <= truth <= est.value + est.abs_error
-
-    def test_monte_carlo_error_bar_scales(self):
-        small = tail_constant(4, 2, method=METHOD_MC, samples=10**5, seed=0)
-        big = tail_constant(4, 2, method=METHOD_MC, samples=10**6, seed=0)
-        assert big.abs_error < small.abs_error
-
-    def test_deterministic_given_seed(self):
-        a = tail_constant(5, 3, method=METHOD_MC, samples=200_000, seed=11)
-        b = tail_constant(5, 3, method=METHOD_MC, samples=200_000, seed=11)
-        c = tail_constant(5, 3, method=METHOD_MC, samples=200_000, seed=12)
-        assert a == b
-        assert a.value != c.value
-
-    def test_thread_count_does_not_change_result(self):
-        serial = tail_constant(5, 2, method=METHOD_MC, samples=400_000, seed=4, threads=1)
-        threaded = tail_constant(5, 2, method=METHOD_MC, samples=400_000, seed=4, threads=4)
-        assert serial.value == threaded.value
+        # the sampling oracle shares nothing with the series, the Mellin
+        # residues or the FFT law; 10^6 samples put three sigma near 1.5e-3
+        samples = 10**6
+        for k, t in TAIL_TRUTH:
+            value = tail_constant(k, t).value
+            three_sigma = 3 * math.sqrt(value * (1 - value) / samples)
+            assert monte_carlo_tail(k, t, samples, seed=0) == pytest.approx(value, abs=three_sigma)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -157,10 +151,10 @@ class TestTailConstant:
             dict(k=3, t=2, method=METHOD_CLOSED),
             dict(k=4, t=5, method=METHOD_SERIES),
             dict(k=3, t=2, method="dartboard"),
-            dict(k=3, t=2, method=METHOD_MC, samples=0),
-            dict(k=3, t=3, threads=0),  # checked before the exact diagonal
-            dict(k=3, t=1, method=METHOD_CLOSED, threads=0),
-            dict(k=3, t=2, samples=1000, threads=-1),
+            dict(k=3, t=2, method="monte_carlo"),  # nothing is sampled
+            dict(k=3, t=3, method="monte_carlo"),  # checked before the exact diagonal
+            dict(k=3, t=1, method="mc"),  # the old CLI spelling is no library method
+            dict(k=1, t=2),
             dict(k=61, t=2, method=METHOD_SERIES),
         ],
     )
@@ -230,19 +224,18 @@ class TestEstimateRecord:
 
 class TestTable:
     def test_shape_and_methods(self):
-        for method in (METHOD_SERIES, METHOD_MC):
-            table = tail_table(3, method=method, samples=50_000)
-            assert [len(row) for row in table] == [1, 2, 3]
-            for k0, row in enumerate(table):
-                k = k0 + 1
-                assert row[-1].value == 1.0 and row[-1].method == METHOD_CLOSED
-                if k > 1:
-                    assert row[0].method == METHOD_CLOSED
-                    for cell in row[1:-1]:
-                        assert cell.method == method
+        table = tail_table(4)
+        assert [len(row) for row in table] == [1, 2, 3, 4]
+        for k0, row in enumerate(table):
+            k = k0 + 1
+            assert row[-1].value == 1.0 and row[-1].method == METHOD_CLOSED
+            if k > 1:
+                assert row[0].method == METHOD_CLOSED
+                for cell in row[1:-1]:
+                    assert cell.method == METHOD_SERIES
 
     def test_row_values_increase_in_t(self):
-        table = tail_table(4, samples=200_000)
+        table = tail_table(4)
         for row in table[1:]:
             values = [cell.value for cell in row]
             assert values == sorted(values)
@@ -250,7 +243,3 @@ class TestTable:
     def test_max_k_limit(self):
         with pytest.raises(ValueError, match="need 1 <= max_k <= 60"):
             tail_table(61)
-
-    def test_threads_must_be_positive(self):
-        with pytest.raises(ValueError, match="need threads >= 1"):
-            tail_table(2, samples=1000, threads=0)
