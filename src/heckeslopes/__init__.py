@@ -8,75 +8,42 @@ orbit slopes, bisections, field-interaction facts), ``numberfield``
 half bounds), ``satotate`` (semicircle measure and its product tail
 constants), ``pipeline`` (record schema, per-prime analysis, metadata
 guarantees, reports) and ``cli``.
+
+Importing the package loads none of them: each name below is looked up
+in its submodule on first access (PEP 562), so a command pays only for
+the layers it runs.
 """
 
-from .galois import (
-    FieldInteraction,
-    Permutation,
-    PermutationGroup,
-    interact_rules,
-)
-from .numberfield import (
-    Defect,
-    PrimeSplitting,
-    element_in_prime,
-    factor_mod_p,
-    half_bound_check,
-    k_of_p,
-    splitting_type,
-    weil_bound_check,
-)
-from .pipeline import (
-    FormAnalysis,
-    FormRecord,
-    Guarantee,
-    PrimeReport,
-    analyze_form,
-    emit_report,
-    guarantee,
-    load_forms,
-)
-from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon
-from .satotate import (
-    METHOD_CLOSED,
-    METHOD_SERIES,
-    CEstimate,
-    tail_constant,
-    tail_constant_closed_form,
-    tail_table,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SlopeMultiset",
-    "frobenius_polygon",
-    "hodge_polygon",
-    "Permutation",
-    "PermutationGroup",
-    "FieldInteraction",
-    "interact_rules",
-    "factor_mod_p",
-    "PrimeSplitting",
-    "splitting_type",
-    "element_in_prime",
-    "Defect",
-    "k_of_p",
-    "weil_bound_check",
-    "half_bound_check",
-    "CEstimate",
-    "METHOD_CLOSED",
-    "METHOD_SERIES",
-    "tail_constant",
-    "tail_constant_closed_form",
-    "tail_table",
-    "FormRecord",
-    "FormAnalysis",
-    "PrimeReport",
-    "Guarantee",
-    "load_forms",
-    "analyze_form",
-    "guarantee",
-    "emit_report",
-    "__version__",
-]
+_EXPORTS = {
+    "polygon": ("SlopeMultiset", "frobenius_polygon", "hodge_polygon"),
+    "galois": ("Permutation", "PermutationGroup", "FieldInteraction", "interact_rules"),
+    "numberfield": (
+        "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
+        "Defect", "k_of_p", "weil_bound_check", "half_bound_check",
+    ),
+    "satotate": (
+        "CEstimate", "METHOD_CLOSED", "METHOD_SERIES",
+        "tail_constant", "tail_constant_closed_form", "tail_table",
+    ),
+    "pipeline": (
+        "FormRecord", "FormAnalysis", "PrimeReport", "Guarantee",
+        "load_forms", "analyze_form", "guarantee", "emit_report",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

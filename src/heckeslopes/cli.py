@@ -7,27 +7,18 @@ them), ``analyze`` (per-prime reports for a JSON record file) and
 ``classify`` (metadata guarantees).  Exit codes: 0 success, 1 usage
 error, 2 malformed data; errors go to stderr as single
 machine-parsable lines.  Output is byte-identical across runs.
+
+Each handler imports the layers it runs, so a command's cold start
+loads no other: ``polygon`` needs only ``polygon`` and ``_errors``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
-from .galois import DEFAULT_CLOSURE_CAP, ClosureCapExceeded, Permutation, PermutationGroup
-from .pipeline import (
-    DataError,
-    SchemaError,
-    analyze_form,
-    emit_report,
-    guarantee,
-    load_forms,
-    vertices_payload,
-)
-from .polygon import SlopeMultiset, frobenius_polygon
-from .satotate import METHOD_CLOSED, METHOD_SERIES, tail_constant, tail_table
+from ._errors import ClosureCapExceeded, DataError, SchemaError
+from .polygon import SlopeMultiset, frobenius_polygon, vertices_payload
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -67,7 +58,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gens", required=True, help="semicolon-separated permutations")
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--min", action="store_true", help="report min-orbit invariants instead")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_slope)
 
     p = sub.add_parser("stc", help="one semicircle tail constant c(k,t)")
@@ -127,6 +118,8 @@ def _cmd_polygon(args) -> int:
         if op == "dual":
             print(a.dual())
         else:
+            import json
+
             print(json.dumps(vertices_payload(a), separators=(",", ":")))
         return 0
     # P / Pprime
@@ -136,10 +129,13 @@ def _cmd_polygon(args) -> int:
 
 
 def _cmd_slope(args) -> int:
+    from .galois import DEFAULT_CLOSURE_CAP, PermutationGroup
+
+    cap = DEFAULT_CLOSURE_CAP if args.cap is None else args.cap
     _require(args.n >= 1, "--n must be >= 1")
-    _require(args.cap >= 1, "--cap must be >= 1")
+    _require(cap >= 1, "--cap must be >= 1")
     try:
-        group = PermutationGroup.parse(args.gens, args.n, cap=args.cap)
+        group = PermutationGroup.parse(args.gens, args.n, cap=cap)
     except ValueError as exc:
         raise UsageError(f"bad --gens: {exc}") from exc
     if args.min:
@@ -153,11 +149,14 @@ def _cmd_slope(args) -> int:
     return 0
 
 
-_METHOD_MAP = {"series": METHOD_SERIES, "closed": METHOD_CLOSED}
-
-
 def _cmd_stc(args) -> int:
-    est = tail_constant(args.k, args.t, method=_METHOD_MAP[args.method])
+    import dataclasses
+    import json
+
+    from .satotate import METHOD_CLOSED, METHOD_SERIES, tail_constant
+
+    method = {"series": METHOD_SERIES, "closed": METHOD_CLOSED}[args.method]
+    est = tail_constant(args.k, args.t, method=method)
     print(json.dumps(dataclasses.asdict(est), sort_keys=True))
     return 0
 
@@ -169,6 +168,8 @@ def _format_entry(est) -> str:
 
 
 def _cmd_table(args) -> int:
+    from .satotate import tail_table
+
     rows = tail_table(args.max_k)
     print("k\\t\t" + "\t".join(f"t={t}" for t in range(1, args.max_k + 1)))
     for k, row in enumerate(rows, start=1):
@@ -177,6 +178,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .pipeline import analyze_form, emit_report, load_forms
+
     records = load_forms(args.file)
     analyses = [analyze_form(rec) for rec in records]
     payload = emit_report(analyses, fmt=args.format)
@@ -190,6 +193,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .pipeline import guarantee, load_forms
+
     records = load_forms(args.file)
     for rec in records:
         g = guarantee(rec)

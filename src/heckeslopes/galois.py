@@ -30,6 +30,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._arith import is_prime
+from ._errors import ClosureCapExceeded
 
 __all__ = [
     "Permutation",
@@ -44,11 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 10**6
-
-
-class ClosureCapExceeded(RuntimeError):
-    """Raised when the BFS closure would enumerate more elements than
-    the configured cap."""
 
 
 class Permutation:

@@ -40,6 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from ._errors import DataError, SchemaError
 from .galois import (
     FACT_SLOPE_ZERO_OVER_F,
     FACT_SLOPE_ZERO_OVER_F_TILDE,
@@ -58,7 +59,7 @@ from .numberfield import (
     splits_completely,
     weil_bound_check,
 )
-from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon
+from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon, vertices_payload
 
 __all__ = [
     "SchemaError",
@@ -76,14 +77,6 @@ __all__ = [
     "emit_report",
     "vertices_payload",
 ]
-
-
-class SchemaError(ValueError):
-    """Malformed input record; the message names the record and field."""
-
-
-class DataError(ValueError):
-    """Well-formed but internally inconsistent data."""
 
 
 STATUS_ANALYZED = "analyzed"
@@ -636,11 +629,6 @@ def guarantee(rec: FormRecord) -> Guarantee:
 
 # ---------------------------------------------------------------------
 # report emission
-
-def vertices_payload(ms: SlopeMultiset) -> list[list[str]]:
-    """Polygon vertices as [x, y] rational-string pairs."""
-    return [[str(x), str(y)] for x, y in ms.vertices()]
-
 
 _TSV_COLUMNS = ("label", "p", "status", "k_p", "ordinary", "newton_vertices", "half_bound")
 

@@ -42,6 +42,7 @@ __all__ = [
     "TENSOR_IDENTITY",
     "frobenius_polygon",
     "hodge_polygon",
+    "vertices_payload",
 ]
 
 
@@ -285,3 +286,8 @@ def hodge_polygon(d: int, k: int, weight: int = 2) -> SlopeMultiset:
     ``i = 0``.  Lies on or below every other member of the same
     ``(d, k)`` family."""
     return frobenius_polygon(d, k, 0, weight)
+
+
+def vertices_payload(ms: SlopeMultiset) -> list[list[str]]:
+    """Polygon vertices as [x, y] rational-string pairs."""
+    return [[str(x), str(y)] for x, y in ms.vertices()]

@@ -422,30 +422,94 @@ def run_fresh(script, argv, cwd, flags=()):
     )
 
 
+POLYGON_LOADS = ("_errors", "cli", "polygon")
+PIPELINE_LOADS = ("_arith", "_errors", "cli", "galois", "numberfield", "pipeline", "polygon")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loads",
     [
-        ["polygon", "--op", "dual", "--a", "0,1"],
-        ["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"],
-        ["classify", "FORMS"],
-        ["analyze", "FORMS"],
-        ["table", "--max-k", "3"],
-        ["stc", "--k", "3", "--t", "2"],
+        (["polygon", "--op", "dual", "--a", "0,1"], POLYGON_LOADS),
+        (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ("_arith", "_errors", "cli", "galois", "polygon")),
+        (["classify", "FORMS"], PIPELINE_LOADS),
+        (["analyze", "FORMS"], PIPELINE_LOADS),
+        (["table", "--max-k", "3"], (*POLYGON_LOADS, "satotate")),
+        (["stc", "--k", "3", "--t", "2"], (*POLYGON_LOADS, "satotate")),
     ],
     ids=["polygon", "slope", "classify", "analyze", "table", "stc"],
 )
-def test_heavy_imports_only_where_used(forms_file, argv):
-    """No command loads numpy or SciPy: a fresh process lists what a
-    command left in ``sys.modules``."""
+def test_heavy_imports_only_where_used(forms_file, argv, loads):
+    """No command loads numpy or SciPy, and each loads only the
+    heckeslopes submodules it runs: a fresh process lists what a command
+    left in ``sys.modules``."""
     script = (
         "import sys; from heckeslopes.cli import main; code = main(sys.argv[1:]); "
         "print('loaded=' + ','.join(m for m in ('numpy', 'scipy') if m in sys.modules), "
-        "file=sys.stderr); sys.exit(code)"
+        "file=sys.stderr); "
+        "print('submodules=' + ','.join(sorted(m.split('.', 1)[1] for m in sys.modules "
+        "if m.startswith('heckeslopes.'))), file=sys.stderr); sys.exit(code)"
     )
     argv = [str(forms_file) if a == "FORMS" else a for a in argv]
     proc = run_fresh(script, argv, forms_file.parent)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "loaded="
+    assert proc.stderr.splitlines()[-2:] == ["loaded=", "submodules=" + ",".join(sorted(loads))]
+
+
+# the package root's exports, by the submodule that defines each
+ROOT_EXPORTS = {
+    "polygon": ["SlopeMultiset", "frobenius_polygon", "hodge_polygon"],
+    "galois": ["Permutation", "PermutationGroup", "FieldInteraction", "interact_rules"],
+    "numberfield": [
+        "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
+        "Defect", "k_of_p", "weil_bound_check", "half_bound_check",
+    ],
+    "satotate": [
+        "CEstimate", "METHOD_CLOSED", "METHOD_SERIES",
+        "tail_constant", "tail_constant_closed_form", "tail_table",
+    ],
+    "pipeline": [
+        "FormRecord", "FormAnalysis", "PrimeReport", "Guarantee",
+        "load_forms", "analyze_form", "guarantee", "emit_report",
+    ],
+}
+
+
+def test_package_root_loads_on_first_use(tmp_path):
+    """``import heckeslopes`` loads no submodule; each exported name is
+    its submodule's object, loaded on first access; the error classes
+    that ``pipeline`` and ``galois`` re-export are those of ``_errors``."""
+    script = f"""
+import importlib, sys
+import heckeslopes
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("heckeslopes."))
+assert loaded() == [], loaded()
+try:
+    heckeslopes.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("no_such_name resolved")
+assert set(heckeslopes.__all__) <= set(dir(heckeslopes))
+heckeslopes.tail_table
+assert loaded() == ["heckeslopes.satotate"], loaded()
+exports = {ROOT_EXPORTS!r}
+assert sorted(heckeslopes.__all__) == sorted([*sum(exports.values(), []), "__version__"])
+for module, names in exports.items():
+    for name in names:
+        assert getattr(heckeslopes, name) is getattr(importlib.import_module("heckeslopes." + module), name), name
+namespace = {{}}
+exec("from heckeslopes import *", namespace)
+assert sorted(set(namespace) - {{"__builtins__"}}) == sorted(heckeslopes.__all__)
+from heckeslopes import _errors, cli, galois, pipeline
+assert pipeline.SchemaError is _errors.SchemaError and pipeline.DataError is _errors.DataError
+assert galois.ClosureCapExceeded is _errors.ClosureCapExceeded
+assert {{"SchemaError", "DataError"}} <= set(pipeline.__all__) and "ClosureCapExceeded" in galois.__all__
+print(len(namespace) - 1)
+"""
+    proc = run_fresh(script, [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "30\n"
 
 
 @pytest.mark.parametrize(
