@@ -1,8 +1,8 @@
 """Permutation actions and the orbit invariants they induce.
 
 A finite group acting on ``n`` points is given by generator
-permutations; the full element set is produced by breadth-first closure
-under composition (finite order makes inverses automatic).  The
+permutations; the full element set is produced by closing their image
+tuples under composition (finite order makes inverses automatic).  The
 invariants exposed here are the ones controlling slope bounds for
 eigenvalue fields:
 
@@ -71,9 +71,8 @@ class Permutation:
             return cls.identity(n)
         if text.startswith("("):
             images = list(range(n))
-            body = text
-            cycles = re.findall(r"\(([^()]*)\)", body)
-            if "".join(f"({c})" for c in cycles).replace(" ", "") != body.replace(" ", ""):
+            cycles = re.findall(r"\(([^()]*)\)", text)
+            if "".join(f"({c})" for c in cycles).replace(" ", "") != text.replace(" ", ""):
                 raise ValueError(f"malformed cycle notation: {text!r}")
             for cyc in cycles:
                 pts = [int(tok) for tok in cyc.replace(",", " ").split()]
@@ -84,15 +83,13 @@ class Permutation:
                         raise ValueError(f"point {p} out of range for degree {n}")
                 for a, b in zip(pts, pts[1:] + pts[:1]):
                     images[a] = b
-            perm = cls(images)
-        else:
-            images = [int(tok) for tok in text.split(",")]
-            if len(images) != n:
-                raise ValueError(
-                    f"image list has length {len(images)}, expected degree {n}"
-                )
-            perm = cls(images)
-        return perm
+            return cls(images)
+        images = [int(tok) for tok in text.split(",")]
+        if len(images) != n:
+            raise ValueError(
+                f"image list has length {len(images)}, expected degree {n}"
+            )
+        return cls(images)
 
     @property
     def degree(self) -> int:
@@ -173,11 +170,11 @@ class Permutation:
 class PermutationGroup:
     """Group of permutations of ``{0, ..., n-1}`` given by generators.
 
-    Elements are enumerated once, lazily, by BFS closure under
-    composition; the closure aborts with ``ClosureCapExceeded`` beyond
-    ``cap`` elements.  With no generators the group is trivial (the
-    identity alone), so e.g. the trivial action on 3 points has slope
-    1 - 1/3 = 2/3.
+    Elements are enumerated once, lazily, by closing the generators'
+    image tuples under composition; the closure aborts with
+    ``ClosureCapExceeded`` beyond ``cap`` elements.  With no generators
+    the group is trivial (the identity alone), so e.g. the trivial
+    action on 3 points has slope 1 - 1/3 = 2/3.
     """
 
     def __init__(
@@ -216,23 +213,21 @@ class PermutationGroup:
     def elements(self) -> tuple[Permutation, ...]:
         """All group elements, deterministically ordered by image tuple."""
         if self._elements is None:
-            ident = Permutation.identity(self.degree)
-            found = {ident}
-            frontier = [ident]
-            while frontier:
-                fresh = []
-                for a in frontier:
-                    for g in self.generators:
-                        b = g * a
-                        if b not in found:
-                            found.add(b)
-                            if len(found) > self._cap:
-                                raise ClosureCapExceeded(
-                                    f"closure exceeds cap of {self._cap} elements"
-                                )
-                            fresh.append(b)
-                frontier = fresh
-            self._elements = tuple(sorted(found, key=lambda p: p._images))
+            gens = [g.images for g in self.generators]
+            stack = [tuple(range(self.degree))]
+            found = set(stack)
+            while stack:
+                a = stack.pop()
+                for g in gens:
+                    b = tuple([g[j] for j in a])
+                    if b not in found:
+                        found.add(b)
+                        if len(found) > self._cap:
+                            raise ClosureCapExceeded(
+                                f"closure exceeds cap of {self._cap} elements"
+                            )
+                        stack.append(b)
+            self._elements = tuple(map(Permutation, sorted(found)))
         return self._elements
 
     @property

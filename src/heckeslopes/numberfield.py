@@ -343,16 +343,19 @@ def _require_integer_coords(coords: Sequence[Fraction]) -> None:
 def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
     """Whether the integral element with power-basis coordinates ``a``
     lies in the prime (p, g(x)) — i.e. its reduction mod p is divisible
-    by the residue factor ``g``.  ``p`` must be prime, as in ``k_of_p``:
-    modulo a composite the reduction is not a residue field."""
+    by the residue factor ``g``, which must not vanish mod p.  ``p`` must
+    be prime, as in ``k_of_p``: modulo a composite there is no field."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    gbar = _reduce(g, p)
+    if not gbar:
+        raise ValueError(f"residue factor {list(g)} vanishes mod {p}")
     coords = [Fraction(c) for c in a]
     _require_integer_coords(coords)
     apoly = _reduce([int(c) for c in coords], p)
     if not apoly:
         return True
-    return not _mod(apoly, list(g), p)
+    return not _mod(apoly, gbar, p)
 
 
 class Defect(NamedTuple):

@@ -148,3 +148,28 @@ def mellin_tail(k: int, t: int):
             if abs(term) < mpmath.mpf("1e-30") * abs(total):
                 return total
             n += 1
+
+
+def bfs_closure(generators, degree: int, cap: int):
+    """Reference closure for ``PermutationGroup.elements``: the elements
+    generated by the ``Permutation`` ``generators`` on ``degree`` points,
+    found breadth first as products ``g * a`` of ``Permutation`` objects
+    and sorted by image tuple.  Raises ``ClosureCapExceeded`` with the
+    library's message as soon as more than ``cap`` elements are found."""
+    from heckeslopes.galois import ClosureCapExceeded, Permutation
+
+    ident = Permutation.identity(degree)
+    found = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in generators:
+                b = g * a
+                if b not in found:
+                    found.add(b)
+                    if len(found) > cap:
+                        raise ClosureCapExceeded(f"closure exceeds cap of {cap} elements")
+                    fresh.append(b)
+        frontier = fresh
+    return tuple(sorted(found, key=lambda p: p.images))

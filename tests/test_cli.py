@@ -310,6 +310,23 @@ class TestAnalyze:
             2, "", f"error: data: record 'golden.sqrt2', field 'ap[0].p': {problem}\n"
         )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # embeddings' root radius divides the coefficients as floats
+            {"hecke_poly": [-(10**309) - 1, 0, 1]},
+            # the Weil check converts the coordinates to floats
+            {"ap": [{"p": 3, "split_in_F": True, "a": [str(10**309), "0"]}]},
+        ],
+        ids=["hecke-poly", "ap"],
+    )
+    def test_float_range_overflow_is_data_error(self, capsys, tmp_path, change):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([dict(FORM, **change)]))
+        assert run(capsys, ["analyze", str(path)]) == (
+            2, "", "error: data: integer division result too large for a float\n"
+        )
+
     def test_newton_below_hodge_is_data_error(self, capsys, forms_file, monkeypatch):
         hodge = hodge_polygon(FORM["d"], len(FORM["hecke_poly"]) - 1)
         assert hodge.rank == BELOW_HODGE.rank and hodge.integral == BELOW_HODGE.integral
@@ -321,6 +338,13 @@ class TestAnalyze:
 
 
 class TestClassify:
+    def test_galois_actions_match_golden_bytes(self, capsysbinary):
+        # C_n, D_n, A_n and S_n actions of degree 4..7, each listed twice
+        data = Path(__file__).parent / "data"
+        assert main(["classify", str(data / "golden_galois.json")]) == 0
+        captured = capsysbinary.readouterr()
+        assert (captured.out, captured.err) == ((data / "golden_classify.tsv").read_bytes(), b"")
+
     def test_line_format(self, capsys, tmp_path):
         recs = [
             dict(FORM, ap=[]),

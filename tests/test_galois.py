@@ -1,9 +1,13 @@
 """Permutation groups, orbit invariants, and the field-interaction rules."""
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bfs_closure
 from heckeslopes.galois import (
     FACT_BISECTION_TRANSFERS,
     FACT_SLOPE_EQUALS_RATIONAL_BASE,
@@ -96,6 +100,7 @@ class TestGroupClosure:
         g = PermutationGroup(3)
         assert g.order == 1
         assert g.elements == (Permutation.identity(3),)
+        assert PermutationGroup.parse("()", 1).elements == (Permutation.identity(1),)
 
     def test_elements_sorted_and_closed(self):
         els = D8.elements
@@ -117,6 +122,42 @@ class TestGroupClosure:
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
             PermutationGroup(3, [Permutation.parse("(0 1)", 4)])
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))
+        )
+    )
+    def test_matches_reference_closure(self, degree_and_images):
+        degree, images = degree_and_images
+        gens = [Permutation(im) for im in images]
+        expected = bfs_closure(gens, degree, cap=10**6)
+        group = PermutationGroup(degree, gens)
+        assert group.elements == expected  # the same elements in the same order
+        order = len(expected)
+        assert PermutationGroup(degree, gens, cap=order).order == order
+        if order > 1:
+            with pytest.raises(ClosureCapExceeded) as reference:
+                bfs_closure(gens, degree, cap=order - 1)
+            with pytest.raises(ClosureCapExceeded) as raised:
+                PermutationGroup(degree, gens, cap=order - 1).order
+            assert str(raised.value) == str(reference.value)
+            assert str(raised.value) == f"closure exceeds cap of {order - 1} elements"
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_orders_of_transitive_families(self, n):
+        cycle = "(" + " ".join(map(str, range(n))) + ")"
+        reflection = "".join(f"({i} {n - i})" for i in range(1, (n + 1) // 2))
+        long_odd_cycle = cycle if n % 2 else "(" + " ".join(map(str, range(1, n))) + ")"
+        orders = {
+            cycle: n,
+            f"{cycle};{reflection}": 2 * n,
+            f"{long_odd_cycle};(0 1 2)": factorial(n) // 2,
+            f"{cycle};(0 1)": factorial(n),
+        }
+        for gens, order in orders.items():
+            assert PermutationGroup.parse(gens, n).order == order, gens
 
 
 class TestOrbitInvariants:

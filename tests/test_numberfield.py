@@ -155,6 +155,17 @@ class TestElementInPrime:
         with pytest.raises(ValueError):
             element_in_prime((Fraction(1, 2), 0), (3, 1), 7)
 
+    @pytest.mark.parametrize("g", [(0,), (3,), ()])
+    def test_residue_factor_vanishing_mod_p_rejected(self, g):
+        # a divisor that vanishes mod p has no leading coefficient to invert
+        with pytest.raises(ValueError, match="vanishes mod 3"):
+            element_in_prime((1, 1), g, 3)
+
+    def test_residue_factor_reduced_before_dividing(self):
+        # 1 + 3x is the unit 1 mod 3, so the "prime" is the whole ring
+        assert element_in_prime((1, 1), (1, 3), 3) is True
+        assert element_in_prime((1, 1), (1,), 3) is True
+
     @pytest.mark.parametrize("a,g,n", [((3, 1), (3, 1), 9), ((2, 0), (1, 1), 4), ((0, 0), (0, 1), 1)])
     def test_composite_modulus_rejected(self, a, g, n):
         # Z/9, Z/4 and Z/1 are not fields, so (n, g) is no prime; k_of_p refuses them too
