@@ -17,11 +17,13 @@ The central quantity is::
 (0 exactly when ``a`` is a unit at every prime above ``p``; ``a = 0``
 lies in every prime and the full degree is returned with a flag).  So
 ``p`` is ordinary for ``a`` exactly when ``k_of_p`` returns
-``Defect(0, False)``.  When ``f`` mod ``p`` is squarefree its
-factors are distinct, so k(p) = deg gcd(f mod p, a mod p) (Cohen, *A
-Course in Computational Algebraic Number Theory*, 3.4): ``k_of_p``
-takes one gcd and never factors.  In the same way ``splits_completely``
-counts the roots of ``f`` mod ``p`` as deg gcd(x^p - x, f mod p).
+``Defect(0, False)``.  When p does not divide disc(f) (computed once
+per polynomial), f mod p is squarefree, its factors are distinct, and
+k(p) = deg gcd(f mod p, a mod p) (Cohen, *A Course in Computational
+Algebraic Number Theory*, 3.4): ``k_of_p`` takes one gcd and never
+factors.  In the same way ``splits_completely`` counts the roots of
+``f`` mod ``p`` as deg gcd(x^p - x, f mod p).  Coordinates must be
+``int`` or ``Fraction`` (``TypeError`` otherwise).
 
 Factorization mod p, used only by ``splitting_type`` (and so by
 callers that want the shape of ``p`` itself), is squarefree
@@ -41,6 +43,7 @@ change; complex roots and the Weil comparison are floating point.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,22 +325,29 @@ def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
     )
 
 
-def _coords(a: Sequence[Coord], n: int) -> list[Fraction]:
-    coords = [Fraction(c) for c in a]
-    if len(coords) != n:
-        raise ValueError(f"element has {len(coords)} coordinates, field degree is {n}")
-    return coords
+def _require_length(a: Sequence[Coord], n: int) -> None:
+    if len(a) != n:
+        raise ValueError(f"element has {len(a)} coordinates, field degree is {n}")
 
 
-def _require_integer_coords(coords: Sequence[Fraction]) -> None:
+def _fractions(a: Sequence[Coord]) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each coordinate, an ``int`` or a ``Fraction``."""
+    try:
+        return [(c.numerator, c.denominator) for c in a]
+    except AttributeError:
+        bad = next(c for c in a if not isinstance(c, (int, Fraction)))
+        raise TypeError(f"coordinate {bad!r} ({type(bad).__name__}) is not an int or Fraction") from None
+
+
+def _integral_reduction(a: Sequence[Coord], p: int) -> list[int]:
+    """``a`` mod ``p``, refusing coordinates that are not integers."""
+    pairs = _fractions(a)
     # Z[x] can be smaller than the ring of integers: (1 + x)/2 over
     # x^2 - 5 is integral but has denominators here
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError(
-            "coordinates must be integers in the power basis of the defining "
-            "polynomial (elements of the maximal order outside Z[x] are not "
-            "supported yet)"
-        )
+    if any(d != 1 for _, d in pairs):
+        raise ValueError("coordinates must be integers in the power basis of the defining polynomial"
+                         " (elements of the maximal order outside Z[x] are not supported yet)")
+    return _reduce([n for n, _ in pairs], p)
 
 
 def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
@@ -350,12 +360,7 @@ def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
     gbar = _reduce(g, p)
     if not gbar:
         raise ValueError(f"residue factor {list(g)} vanishes mod {p}")
-    coords = [Fraction(c) for c in a]
-    _require_integer_coords(coords)
-    apoly = _reduce([int(c) for c in coords], p)
-    if not apoly:
-        return True
-    return not _mod(apoly, gbar, p)
+    return not _mod(_integral_reduction(a, p), gbar, p)
 
 
 class Defect(NamedTuple):
@@ -368,42 +373,40 @@ class Defect(NamedTuple):
 
 def _squarefree_reduction(f: IntPoly, p: int) -> list[int]:
     """``f`` mod ``p`` for monic ``f``, refusing ``p`` (with
-    ``RamifiedPrimeError``) when it has a repeated factor, i.e. when
-    gcd(f, f') mod p is nonconstant, i.e. when p | disc(f)."""
+    ``RamifiedPrimeError``) when it has a repeated factor, which for
+    monic ``f`` of degree >= 1 happens exactly when p | disc(f)."""
     _require_monic_and_prime(f, p)
-    fb = _reduce(f, p)
-    if _deg(_gcd(fb, _deriv(fb, p), p)) > 0:
+    if len(f) > 1 and _discriminant(tuple(f)) % p == 0:
         # the Dedekind criterion will separate genuine ramification
         # from index divisors (IndexWarningError) here
         raise RamifiedPrimeError(f"p={p} ramifies in the field")
-    return fb
+    return _reduce(f, p)
 
 
 def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     """Ordinariness defect of ``a`` at ``p``: sum of residue degrees f_i
     over the primes (p, g_i) that contain ``a``.
 
-    Refuses primes dividing disc(f) (the residue correspondence is
-    unreliable there).  Otherwise f mod p is squarefree and the defect
-    is deg gcd(f mod p, a mod p), so nothing is factored.  The zero
-    element lies in every prime: the full field degree is returned
-    with ``all_primes=True`` rather than silently.
+    Refuses primes dividing disc(f), computed once per ``f`` (the
+    residue correspondence is unreliable there).  Otherwise f mod p is
+    squarefree and the defect is deg gcd(f mod p, a mod p), so nothing
+    is factored.  The zero element lies in every prime: the full field
+    degree is returned with ``all_primes=True`` rather than silently.
     """
     fb = _squarefree_reduction(f, p)
-    n = _deg(list(f))
-    coords = _coords(a, n)
-    _require_integer_coords(coords)
-    if all(c == 0 for c in coords):
+    n = _deg(fb)
+    _require_length(a, n)
+    apoly = _integral_reduction(a, p)
+    if not any(a):
         return Defect(n, True)
     # a = 0 mod p gives gcd(fb, 0) = fb: every prime above p
-    apoly = _reduce([int(c) for c in coords], p)
     return Defect(_deg(_gcd(fb, apoly, p)), False)
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:
     """Whether monic ``f`` splits into distinct linear factors mod
-    ``p``: deg gcd(x^p - x, f mod p) = deg f.  Refuses ``p`` like
-    ``k_of_p`` when f mod p has a repeated factor."""
+    ``p``: deg gcd(x^p - x, f mod p) = deg f.  Refuses ``p`` | disc(f)
+    like ``k_of_p``: there f mod p has a repeated factor."""
     fb = _squarefree_reduction(f, p)
     x = [0, 1]
     roots = _gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)
@@ -421,19 +424,18 @@ def discriminant(f: IntPoly) -> int:
         raise ValueError("discriminant needs degree >= 1")
     n = _deg(f)
     df = [i * c for i, c in enumerate(f)][1:]
-    m = n + (n - 1)
-    rows = []
-    frev = f[::-1]
-    dfrev = df[::-1]
-    for i in range(n - 1):
-        rows.append([0] * i + frev + [0] * (m - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + dfrev + [0] * (m - n + 1 - 1 - i))
+    # the (2n - 1)-square Sylvester matrix: n - 1 shifts of f, n of f'
+    rows = [[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + df[::-1] + [0] * (n - 1 - i) for i in range(n)]
     res = _bareiss_det(rows)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     lead = f[-1]
     assert res % lead == 0
     return sign * (res // lead)
+
+
+# one Bareiss determinant per polynomial, however many primes ask
+_discriminant = functools.lru_cache(maxsize=256)(discriminant)
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -524,11 +526,10 @@ def weil_bound_check(
     field."""
     if weight not in (2, 3):
         raise ValueError("weight must be 2 or 3")
-    n = _deg(list(f))
-    coords = _coords(a, n)
+    _require_length(a, _deg(list(f)))
+    coeffs = [n / d for n, d in _fractions(a)]
     bound = 2 * (p**0.5) if weight == 2 else 2.0 * p
     bound *= 1 + 1e-9
-    coeffs = [float(c) for c in coords]
     roots = embeddings(f) if roots is None else roots
     return all(abs(_horner(coeffs, root)) <= bound for root in roots)
 

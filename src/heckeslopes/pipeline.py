@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -115,13 +116,14 @@ DENSITY_CAVEAT = (
 ASSUMPTION_SST = "SST"
 ASSUMPTION_RST = "RST"
 _TST_RE = re.compile(r"^tST\((\d+)\)$")
+_INT_RE = re.compile(r"[-+]?[0-9]+")  # read alike by int and Fraction on every Python
 
 
 @dataclass(frozen=True)
 class ApEntry:
     p: int
     split_in_F: bool
-    a: tuple[Fraction, ...]
+    a: tuple[Union[int, Fraction], ...]  # int unless written "a/b", "3.0", ...
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
             if isinstance(c, bool) or not isinstance(c, (str, int)):
                 _fail(label, f"{where}.a", "entries must be rational strings or integers")
             try:
-                coords.append(Fraction(c))
+                coords.append(c if isinstance(c, int) else int(c) if _INT_RE.fullmatch(c) else Fraction(c))
             except (ValueError, ZeroDivisionError):
                 _fail(label, f"{where}.a", f"bad rational {c!r}")
         entries.append(ApEntry(p=p, split_in_F=item["split_in_F"], a=tuple(coords)))
@@ -428,7 +430,9 @@ def _check_split_claim(rec: FormRecord, p: int) -> None:
         )
 
 
-def _analyze_entry(rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset) -> PrimeReport:
+def _analyze_entry(
+    rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset, newtons: dict[int, SlopeMultiset]
+) -> PrimeReport:
     p = entry.p
     if not entry.split_in_F:
         return PrimeReport(p=p, status=STATUS_SKIPPED_NONSPLIT)
@@ -444,22 +448,28 @@ def _analyze_entry(rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset) -> Pri
         # what remains is the data: an a_p with non-integer coordinates
         raise DataError(f"record {rec.label!r}, p={p}: a_p over hecke_poly: {exc}") from exc
 
-    w = rec.motivic_weight
-    k_f = rec.k_f
-    roots = _embedding_cache(rec)
-    weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=w, roots=roots)
-    newton = frobenius_polygon(rec.d, k_f, defect.k, w)
-    if not hodge.leq_strict(newton):
-        raise ArithmeticError(
-            f"record {rec.label!r}, p={p}: the Newton polygon does not lie on or "
-            "above the Hodge polygon with the same endpoints"
-        )
+    try:
+        roots = _EMBEDDING_CACHE.get(rec.hecke_poly)
+        if roots is None:
+            roots = _EMBEDDING_CACHE[rec.hecke_poly] = embeddings(rec.hecke_poly)
+        weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=rec.motivic_weight, roots=roots)
+    except OverflowError as exc:
+        problem = "hecke_poly or a_p exceeds the float range of the Weil check"
+        raise DataError(f"record {rec.label!r}, p={p}: {problem}") from exc
+    newton = newtons.get(defect.k)
+    if newton is None:  # one polygon, and one check, per defect
+        newton = newtons[defect.k] = frobenius_polygon(rec.d, rec.k_f, defect.k, rec.motivic_weight)
+        if not hodge.leq_strict(newton):
+            raise ArithmeticError(
+                f"record {rec.label!r}, p={p}: the Newton polygon does not lie on or "
+                "above the Hodge polygon with the same endpoints"
+            )
     if defect.all_primes:
         # a_p = 0: k = k_f >= 1, so not ordinary, and the product-formula
         # argument behind the half bound needs a_p != 0
         status, half_bound = STATUS_DEGENERATE_AP_ZERO, "not_applicable"
     else:
-        status, half_bound = STATUS_ANALYZED, half_bound_check(defect.k, k_f, p)
+        status, half_bound = STATUS_ANALYZED, half_bound_check(defect.k, rec.k_f, p)
     return PrimeReport(
         p=p,
         status=status,
@@ -475,13 +485,6 @@ def _analyze_entry(rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset) -> Pri
 _EMBEDDING_CACHE: dict[tuple[int, ...], tuple[complex, ...]] = {}
 
 
-def _embedding_cache(rec: FormRecord) -> tuple[complex, ...]:
-    key = rec.hecke_poly
-    if key not in _EMBEDDING_CACHE:
-        _EMBEDDING_CACHE[key] = embeddings(key)
-    return _EMBEDDING_CACHE[key]
-
-
 def analyze_form(rec: FormRecord) -> FormAnalysis:
     """Classify every listed prime of one record and summarize.
 
@@ -493,24 +496,20 @@ def analyze_form(rec: FormRecord) -> FormAnalysis:
     summary; their own rows keep the ``degenerate_ap_zero`` status.
     """
     hodge = hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
-    reports = tuple(_analyze_entry(rec, e, hodge) for e in rec.eigenvalues)
+    newtons: dict[int, SlopeMultiset] = {}
+    reports = tuple(_analyze_entry(rec, e, hodge, newtons) for e in rec.eigenvalues)
 
     counted = [r for r in reports if r.status in (STATUS_ANALYZED, STATUS_DEGENERATE_AP_ZERO)]
     n_analyzed = len(counted)
     ordinary = [r for r in counted if r.ordinary]
     exceptional = tuple(sorted(r.p for r in counted if not r.ordinary))
-    hist: dict[int, int] = {}
-    for r in counted:
-        hist[r.k_p] = hist.get(r.k_p, 0) + 1
     summary = FormSummary(
         n_primes=len(reports),
         n_analyzed=n_analyzed,
         n_ordinary=len(ordinary),
-        ordinary_density=(
-            Fraction(len(ordinary), n_analyzed) if n_analyzed else None
-        ),
+        ordinary_density=Fraction(len(ordinary), n_analyzed) if n_analyzed else None,
         exceptional_primes=exceptional,
-        kp_counts=tuple(sorted(hist.items())),
+        kp_counts=tuple(sorted(Counter(r.k_p for r in counted).items())),
         prime_bound=max((r.p for r in counted), default=None),
     )
     return FormAnalysis(record=rec, reports=reports, summary=summary)

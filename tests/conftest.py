@@ -69,6 +69,31 @@ def quadratic_defect(u: int, v: int, d: int, p: int) -> int:
     return 0
 
 
+def repeated_factor_mod_p(f, p: int) -> bool:
+    """Whether monic ``f`` has a repeated factor mod the prime ``p``:
+    gcd(f mod p, f' mod p) is nonconstant.  The library's per-prime test
+    before it read the same answer from p | disc(f); kept as its
+    reference, with its own Euclid over GF(p)."""
+
+    def trim(g):
+        while g and g[-1] == 0:
+            g.pop()
+        return g
+
+    a = trim([c % p for c in f])
+    b = trim([i * c % p for i, c in enumerate(f)][1:])
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            trim(a)
+        a, b = b, a
+    return len(a) > 1
+
+
 def semicircle_tail(k: int, t: int, n_grid: int = 1 << 16) -> float:
     """P(|y_1 * ... * y_t| < 2^(t-k)) for i.i.d. semicircle samples.
 

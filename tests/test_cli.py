@@ -217,6 +217,14 @@ class TestAnalyze:
         )
         assert out == expected
 
+    def test_synth_records_match_golden_bytes(self, capsysbinary):
+        # 16 generated records over base fields of degree 1..4 and Hecke
+        # fields of degree 2..12: 736 primes, every status but skipped_index
+        data = Path(__file__).parent / "data"
+        assert main(["analyze", str(data / "golden_synth.json")]) == 0
+        captured = capsysbinary.readouterr()
+        assert (captured.out, captured.err) == ((data / "golden_synth.tsv").read_bytes(), b"")
+
     def test_json_format(self, capsys, forms_file):
         code, out, _ = run(capsys, ["analyze", str(forms_file), "--format", "json"])
         assert code == 0
@@ -315,16 +323,21 @@ class TestAnalyze:
         [
             # embeddings' root radius divides the coefficients as floats
             {"hecke_poly": [-(10**309) - 1, 0, 1]},
-            # the Weil check converts the coordinates to floats
+            # the Weil check converts the coordinates to floats, whether
+            # the loader keeps them as int or, for "1e309", as Fraction
             {"ap": [{"p": 3, "split_in_F": True, "a": [str(10**309), "0"]}]},
+            {"ap": [{"p": 3, "split_in_F": True, "a": ["1e309", "0"]}]},
         ],
-        ids=["hecke-poly", "ap"],
+        ids=["hecke-poly", "ap", "ap-fraction"],
     )
     def test_float_range_overflow_is_data_error(self, capsys, tmp_path, change):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps([dict(FORM, **change)]))
         assert run(capsys, ["analyze", str(path)]) == (
-            2, "", "error: data: integer division result too large for a float\n"
+            2,
+            "",
+            "error: data: record 'demo.sqrt2', p=3: hecke_poly or a_p exceeds the float range "
+            "of the Weil check\n",
         )
 
     def test_newton_below_hodge_is_data_error(self, capsys, forms_file, monkeypatch):

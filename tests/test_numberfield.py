@@ -218,6 +218,29 @@ class TestDefect:
             assert k_of_p((u, v), (-d, 0, 1), p).k == quadratic_defect(u, v, d, p)
 
 
+class TestCoordinateTypes:
+    @pytest.mark.parametrize("bad", [0.5, 3.0, "3"], ids=["float", "integral-float", "str"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: k_of_p(a, SQRT2, 7),
+            lambda a: weil_bound_check(a, SQRT2, 7),
+            lambda a: element_in_prime(a, (3, 1), 7),
+        ],
+        ids=["k_of_p", "weil_bound_check", "element_in_prime"],
+    )
+    def test_other_types_refused(self, call, bad):
+        with pytest.raises(TypeError) as info:
+            call((1, bad))
+        assert str(info.value) == f"coordinate {bad!r} ({type(bad).__name__}) is not an int or Fraction"
+
+    def test_int_and_fraction_agree(self):
+        whole = (Fraction(3), Fraction(1))
+        assert k_of_p(whole, SQRT2, 7) == k_of_p((3, 1), SQRT2, 7)
+        assert element_in_prime(whole, (3, 1), 7) is element_in_prime((3, 1), (3, 1), 7)
+        assert weil_bound_check(whole, SQRT2, 7) is weil_bound_check((3, 1), SQRT2, 7)
+
+
 class TestEmbeddings:
     def test_real_quadratic(self):
         roots = embeddings(SQRT2)

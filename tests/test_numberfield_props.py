@@ -1,6 +1,7 @@
 """Property-based tests: the gcd forms of the defect and of the split
-test agree with the factorization they replace, and the root finder
-agrees with numpy's companion-matrix roots."""
+test agree with the factorization they replace, their refusals agree
+with the per-prime gcd(f, f') test, and the root finder agrees with
+numpy's companion-matrix roots."""
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import repeated_factor_mod_p
 from heckeslopes.numberfield import (
     RamifiedPrimeError,
     discriminant,
@@ -76,6 +78,21 @@ def test_splits_completely_matches_splitting_shape(f, p):
         deg == 1 for deg in split.residue_degrees
     )
     assert splits_completely(f, p) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(monic_poly(), st.sampled_from([2, 3]) | prime_st)
+def test_refused_exactly_at_a_repeated_factor(f, p):
+    a = [1] + [0] * (len(f) - 2)
+    assert repeated_factor_mod_p(f, p) == splitting_type(f, p).ramified
+    if repeated_factor_mod_p(f, p):
+        with pytest.raises(RamifiedPrimeError):
+            k_of_p(a, f, p)
+        with pytest.raises(RamifiedPrimeError):
+            splits_completely(f, p)
+    else:
+        assert k_of_p(a, f, p) == (0, False)
+        splits_completely(f, p)
 
 
 def _eval(f, x):

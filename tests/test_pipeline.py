@@ -4,8 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckeslopes import numberfield
+from heckeslopes import numberfield, pipeline, polygon
 from heckeslopes.pipeline import (
     CASE_BISECTION,
     CASE_CM,
@@ -96,6 +98,39 @@ class TestSchema:
             minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": ["-1/2"]}])
         )
         assert rec.eigenvalues[0].a == (Fraction(-1, 2),)
+
+    def test_integers_are_stored_as_int(self):
+        # JSON ints and ASCII integer strings skip Fraction parsing
+        rec = record_from_dict(minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": ["-007"]}]))
+        assert [type(c) for c in rec.eigenvalues[0].a] == [int]
+        rec = record_from_dict(minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": [12]}]))
+        assert [type(c) for c in rec.eigenvalues[0].a] == [int]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.tuples(
+            st.sampled_from(["", " ", "\t", "\n ", "\u3000"]),
+            st.sampled_from(["", "-", "+", "--", "+-"]),
+            st.text("0123456789", min_size=1, max_size=6)
+            | st.sampled_from(["1_000", "1__0", "_1", "1_", "007", "\u0663", "\u0661\u0662", "\uff17"]),
+            st.sampled_from(["", ".0", ".5", "e3", "E-2", "/7", "/0", "/-3", "/ 2", " /2", "/1_0", ".", "e"]),
+            st.sampled_from(["", " ", "\n"]),
+        ).map("".join)
+        | st.text(max_size=8)
+    )
+    def test_coordinates_parse_as_fraction_does(self, text):
+        # accepted exactly when Fraction accepts, with Fraction's value,
+        # on the running Python's grammar (3.10 refuses "1_000")
+        obj = minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": [text]}])
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(SchemaError, match="bad rational"):
+                record_from_dict(obj)
+            return
+        (coord,) = record_from_dict(obj).eigenvalues[0].a
+        assert type(coord) in (int, Fraction)
+        assert coord == expected
 
     def test_optional_metadata(self):
         rec = record_from_dict(
@@ -295,6 +330,39 @@ class TestAnalysis:
         for rec in load_forms(DATA / "golden_forms.json"):
             analysis = analyze_form(rec)
             assert analysis.summary.n_analyzed > 0
+
+    def test_one_polygon_per_defect_one_discriminant_per_polynomial(self, monkeypatch):
+        calls = {"frobenius_polygon": 0, "leq_strict": 0, "_bareiss_det": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        polygon_fn = counting("frobenius_polygon", frobenius_polygon)
+        # hodge_polygon calls frobenius_polygon through its own module
+        monkeypatch.setattr(polygon, "frobenius_polygon", polygon_fn)
+        monkeypatch.setattr(pipeline, "frobenius_polygon", polygon_fn)
+        monkeypatch.setattr(SlopeMultiset, "leq_strict", counting("leq_strict", SlopeMultiset.leq_strict))
+        # each discriminant is one Bareiss determinant
+        monkeypatch.setattr(numberfield, "_bareiss_det", counting("_bareiss_det", numberfield._bareiss_det))
+        numberfield._discriminant.cache_clear()
+
+        records = load_forms(DATA / "golden_synth.json")
+        analyses = [analyze_form(rec) for rec in records]
+        defects = {(an.record.label, r.k_p) for an in analyses for r in an.reports if r.k_p is not None}
+        polys = {
+            poly
+            for rec in records
+            if any(e.split_in_F for e in rec.eigenvalues)
+            for poly in (rec.hecke_poly, rec.field_poly)
+        }
+        assert sum(len(an.reports) for an in analyses) == 736
+        assert calls["frobenius_polygon"] <= len(defects) + len(records)
+        assert calls["leq_strict"] <= len(defects)
+        assert calls["_bareiss_det"] == len(polys)
 
 
 class TestGuarantee:
