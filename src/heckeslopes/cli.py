@@ -58,7 +58,11 @@ def build_parser() -> _Parser:
     p.add_argument("--gens", required=True, help="semicolon-separated permutations")
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--min", action="store_true", help="report min-orbit invariants instead")
-    p.add_argument("--cap", type=int)
+    p.add_argument(
+        "--cap",
+        type=int,
+        help="most elements to enumerate (default 10^6); S_n and A_n are never enumerated",
+    )
     p.set_defaults(func=_cmd_slope)
 
     p = sub.add_parser("stc", help="one semicircle tail constant c(k,t)")

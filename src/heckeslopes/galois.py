@@ -1,10 +1,8 @@
 """Permutation actions and the orbit invariants they induce.
 
 A finite group acting on ``n`` points is given by generator
-permutations; the full element set is produced by closing their image
-tuples under composition (finite order makes inverses automatic).  The
-invariants exposed here are the ones controlling slope bounds for
-eigenvalue fields:
+permutations.  The invariants exposed here are the ones controlling
+slope bounds for eigenvalue fields:
 
 * ``max_orbit_length``  -- largest orbit length any single element
   achieves (over the group: the supremum of per-element maxima),
@@ -16,6 +14,17 @@ eigenvalue fields:
 * bisecting elements (exactly two orbits, of equal size) and their
   exact density in the group (a Chebotarev-style fraction).
 
+Each depends only on how many elements have each cycle type, so all of
+them read one cached histogram per group.  The group's order comes from
+a deterministic Schreier–Sims stabilizer chain over the generators'
+image tuples.  An order of n! or n!/2 means S_n or A_n, whose histogram
+is the closed form n!/z_λ over the partitions λ of n (the even ones for
+A_n).  Any other group is enumerated by closing the image tuples under
+composition (finite order makes inverses automatic) and each element's
+cycle type is counted once.  ``elements``, and so ``element_fraction``,
+raise ``ClosureCapExceeded`` when the order exceeds the closure cap;
+the cap bounds enumeration only, so S_10 and A_10 get their invariants.
+
 ``interact_rules`` turns coarse invariants of a pair of number fields
 (degrees, Galois group shape, discriminants) into facts about how the
 action over the base field constrains slopes and bisections.
@@ -24,9 +33,10 @@ action over the base field constrains slopes and bisections.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._arith import is_prime
@@ -163,18 +173,97 @@ class Permutation:
         """True when the permutation has exactly two orbits and they
         have equal size.  By this literal count the identity on two
         points bisects (two fixed points)."""
-        ct = self.cycle_type()
-        return len(ct) == 2 and ct[0] == ct[1]
+        return _bisecting(self.cycle_type())
+
+
+def _bisecting(cycle_type: tuple[int, ...]) -> bool:
+    return len(cycle_type) == 2 and cycle_type[0] == cycle_type[1]
+
+
+def _partitions(n: int, smallest: int = 1):
+    """Partitions of ``n`` into parts >= ``smallest``, each as a
+    nondecreasing tuple (the form of ``Permutation.cycle_type``)."""
+    for part in range(smallest, n // 2 + 1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+    if n >= smallest:
+        yield (n,)
+
+
+def _centralizer_order(cycle_type: tuple[int, ...]) -> int:
+    """z_λ = prod over lengths i of i^m_i * m_i!, where m_i counts the
+    cycles of length i; S_n has n!/z_λ elements of cycle type λ."""
+    z = 1
+    for length, mult in Counter(cycle_type).items():
+        z *= length**mult * factorial(mult)
+    return z
+
+
+def _chain_order(degree: int, generators: Sequence[tuple[int, ...]]) -> int:
+    """Order of the group generated by image tuples, from a stabilizer
+    chain along the base 0, 1, ..., degree-1 built by incremental
+    Schreier–Sims (Knuth, "Efficient representation of perm groups",
+    1991; Seress, *Permutation Group Algorithms*, 2003, §4.2).
+
+    ``reps[k]`` maps each point j of the orbit of k under G_k, the
+    pointwise stabilizer of 0..k-1, to a pair (u, u^-1) with u in G_k
+    and u(k) = j; the order is the product of the orbit lengths.  A new
+    generator of G_k that does not sift through the chain is kept in
+    ``strong[k]``, and each Schreier generator it makes (a product that
+    fixes k) is added to G_(k+1) in turn.  Deterministic: no random
+    elements, so no probability of a wrong order."""
+    identity = tuple(range(degree))
+    reps = [{k: (identity, identity)} for k in range(degree)]
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
+
+    def sifts(k: int, g: tuple[int, ...]) -> bool:
+        for i in range(k, degree):
+            rep = reps[i].get(g[i])
+            if rep is None:
+                return False
+            g = tuple([rep[1][x] for x in g])
+        return True
+
+    def add(k: int, g: tuple[int, ...]) -> None:
+        if sifts(k, g):
+            return
+        strong[k].append(g)
+        # products s * u of a strong generator and a representative, each
+        # pair taken once: the new g with every old u here, and every s
+        # with each new u below
+        todo = [tuple([g[x] for x in u]) for u, _ in reps[k].values()]
+        while todo:
+            h = todo.pop()
+            rep = reps[k].get(h[k])
+            if rep is None:
+                inverse = [0] * degree
+                for i, j in enumerate(h):
+                    inverse[j] = i
+                reps[k][h[k]] = (h, tuple(inverse))
+                todo.extend(tuple([s[x] for x in h]) for s in strong[k])
+            else:
+                schreier = tuple([rep[1][x] for x in h])
+                if schreier != identity:
+                    add(k + 1, schreier)
+
+    for g in generators:
+        add(0, g)
+    return prod(map(len, reps))
 
 
 class PermutationGroup:
     """Group of permutations of ``{0, ..., n-1}`` given by generators.
 
-    Elements are enumerated once, lazily, by closing the generators'
-    image tuples under composition; the closure aborts with
-    ``ClosureCapExceeded`` beyond ``cap`` elements.  With no generators
-    the group is trivial (the identity alone), so e.g. the trivial
-    action on 3 points has slope 1 - 1/3 = 2/3.
+    ``order`` comes from a Schreier–Sims stabilizer chain and never
+    lists the group.  The orbit invariants read one cached cycle-type
+    histogram (cycle type -> number of elements): the closed form for
+    S_n and A_n, recognized by an order of n! or n!/2 (A_n is the only
+    subgroup of index 2), and otherwise a count over ``elements``.
+    ``elements`` closes the generators' image tuples under composition
+    and raises ``ClosureCapExceeded`` when the order exceeds ``cap``, so
+    the cap bounds enumeration only.  With no generators the group is
+    trivial (the identity alone), so e.g. the trivial action on 3
+    points has slope 1 - 1/3 = 2/3.
     """
 
     def __init__(
@@ -195,7 +284,9 @@ class PermutationGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self._cap = cap
+        self._order: Optional[int] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
+        self._histogram: Optional[dict[tuple[int, ...], int]] = None
 
     @classmethod
     def parse(
@@ -211,8 +302,11 @@ class PermutationGroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        """All group elements, deterministically ordered by image tuple."""
+        """All group elements, deterministically ordered by image tuple;
+        ``ClosureCapExceeded`` when there are more than the cap."""
         if self._elements is None:
+            if self.order > self._cap:
+                raise ClosureCapExceeded(f"closure exceeds cap of {self._cap} elements")
             gens = [g.images for g in self.generators]
             stack = [tuple(range(self.degree))]
             found = set(stack)
@@ -222,31 +316,44 @@ class PermutationGroup:
                     b = tuple([g[j] for j in a])
                     if b not in found:
                         found.add(b)
-                        if len(found) > self._cap:
-                            raise ClosureCapExceeded(
-                                f"closure exceeds cap of {self._cap} elements"
-                            )
                         stack.append(b)
             self._elements = tuple(map(Permutation, sorted(found)))
         return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        if self._order is None:
+            self._order = _chain_order(self.degree, [g.images for g in self.generators])
+        return self._order
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
+
+    def _cycle_types(self) -> dict[tuple[int, ...], int]:
+        """Number of elements of each cycle type (sorted orbit lengths)."""
+        if self._histogram is None:
+            n, order = self.degree, self.order
+            full = factorial(n)
+            if order == full or 2 * order == full:
+                self._histogram = {
+                    ct: full // _centralizer_order(ct)
+                    for ct in _partitions(n)
+                    if order == full or (n - len(ct)) % 2 == 0
+                }
+            else:
+                self._histogram = dict(Counter(g.cycle_type() for g in self.elements))
+        return self._histogram
 
     # -- orbit invariants ----------------------------------------------
 
     def max_orbit_length(self) -> int:
         """Largest orbit length achieved by any element."""
-        return max(g.max_orbit_length() for g in self.elements)
+        return max(ct[-1] for ct in self._cycle_types())
 
     def max_min_orbit_length(self) -> int:
         """Supremum over elements of that element's *shortest* orbit
         length (equals n exactly when some element is an n-cycle)."""
-        return max(g.min_orbit_length() for g in self.elements)
+        return max(ct[0] for ct in self._cycle_types())
 
     def slope(self) -> Fraction:
         """``1 - max_orbit_length()/degree``; in [0, 1), and 0 exactly
@@ -259,16 +366,18 @@ class PermutationGroup:
         return 1 - Fraction(self.max_min_orbit_length(), self.degree)
 
     def has_bisecting(self) -> bool:
-        return any(g.bisects() for g in self.elements)
+        return any(map(_bisecting, self._cycle_types()))
 
     def element_fraction(self, predicate: Callable[[Permutation], bool]) -> Fraction:
         """Exact fraction of elements satisfying ``predicate`` — the
-        group-theoretic stand-in for a Chebotarev density."""
+        group-theoretic stand-in for a Chebotarev density.  Enumerates
+        the group, so it is bounded by the cap."""
         hits = sum(1 for g in self.elements if predicate(g))
         return Fraction(hits, self.order)
 
     def bisecting_fraction(self) -> Fraction:
-        return self.element_fraction(Permutation.bisects)
+        hits = sum(count for ct, count in self._cycle_types().items() if _bisecting(ct))
+        return Fraction(hits, self.order)
 
     # -- induced actions -------------------------------------------------
 

@@ -33,6 +33,7 @@ prime bound grows; report output carries that caveat verbatim.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import Counter
@@ -639,7 +640,11 @@ def _bool_str(b: Optional[bool]) -> str:
 def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
     """Serialize analyses deterministically (rows sorted by label then
     prime) as TSV or JSON; output is byte-identical across runs."""
+    # the rows of a record share one polygon per k: one payload for each
     if fmt == "tsv":
+        newton_json = functools.lru_cache(maxsize=None)(
+            lambda ms: json.dumps(vertices_payload(ms), separators=(",", ":"))
+        )
         lines = ["\t".join(_TSV_COLUMNS)]
         rows = sorted(
             ((an.record.label, rep) for an in analyses for rep in an.reports),
@@ -656,13 +661,14 @@ def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
                         _bool_str(rep.ordinary),
                         ""
                         if rep.newton is None
-                        else json.dumps(vertices_payload(rep.newton), separators=(",", ":")),
+                        else newton_json(rep.newton),
                         rep.half_bound or "",
                     )
                 )
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
+        payload = functools.lru_cache(maxsize=None)(vertices_payload)
         forms = []
         for an in sorted(analyses, key=lambda a: a.record.label):
             s = an.summary
@@ -678,10 +684,10 @@ def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
                         "half_bound": rep.half_bound,
                         "newton_vertices": None
                         if rep.newton is None
-                        else vertices_payload(rep.newton),
+                        else payload(rep.newton),
                         "hodge_vertices": None
                         if rep.hodge is None
-                        else vertices_payload(rep.hodge),
+                        else payload(rep.hodge),
                     }
                 )
             forms.append(

@@ -32,6 +32,10 @@ FORM = {
     ],
 }
 
+# S_10 and A_10: 10! and 10!/2 elements, above the default closure cap
+S10_GENS = ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]
+A10_GENS = ["(1 2 3 4 5 6 7 8 9)", "(0 1 2)"]
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -138,12 +142,22 @@ class TestSlope:
         assert out == "lambda_min=4\nsigma_min=0\nbisecting=true\nbisecting_fraction=3/8\n"
 
     def test_closure_cap_is_data_error(self, capsys):
+        # S_3 wr S_2, of order 72: neither S_6 nor A_6, so it is enumerated
         code, _, err = run(
             capsys,
-            ["slope", "--gens", "(0 1 2 3 4 5);(0 1)", "--n", "6", "--cap", "10"],
+            ["slope", "--gens", "(0 1 2);(0 1);(0 3)(1 4)(2 5)", "--n", "6", "--cap", "10"],
         )
-        assert code == 2
-        assert err.startswith("error: data:")
+        assert (code, err) == (2, "error: data: closure exceeds cap of 10 elements\n")
+
+    @pytest.mark.parametrize(
+        "gens,expected",
+        [
+            (S10_GENS, "lambda=10\nsigma=0\nbisecting=true\nbisecting_fraction=1/50\n"),
+            (A10_GENS, "lambda=9\nsigma=1/10\nbisecting=true\nbisecting_fraction=1/25\n"),
+        ],
+    )
+    def test_degree_ten_symmetric_and_alternating(self, capsys, gens, expected):
+        assert run(capsys, ["slope", "--gens", ";".join(gens), "--n", "10"]) == (0, expected, "")
 
     def test_bad_generator_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["slope", "--gens", "(0 9)", "--n", "4"])
@@ -290,6 +304,36 @@ class TestAnalyze:
             "error: data: record 'demo.sqrt2', p=3: a_p over hecke_poly: coordinates must "
             "be integers in the power basis of the defining polynomial (elements of the "
             "maximal order outside Z[x] are not supported yet)\n"
+        )
+
+    def test_degree_ten_groups_are_not_enumerated(self, capsys, tmp_path, monkeypatch):
+        from heckeslopes.galois import PermutationGroup
+
+        def refuse(group):
+            raise AssertionError(f"enumerated a group of order {group.order}")
+
+        monkeypatch.setattr(PermutationGroup, "elements", property(refuse))
+        x10 = [-1, -1] + [0] * 8 + [1]
+        base = dict(FORM, hecke_poly=x10, galois_degree=10, ap=[])
+        recs = [
+            dict(base, label="S10", galois_gens=S10_GENS),
+            dict(base, label="A10", galois_gens=A10_GENS),
+            dict(base, label="A10.SST", galois_gens=A10_GENS, k_f_circ=10, assumptions=["SST"]),
+            dict(base, label="S10.w3", galois_gens=S10_GENS, weight=[3]),
+            dict(base, label="A10.w3", galois_gens=A10_GENS, weight=[3]),
+        ]
+        path = tmp_path / "degree10.json"
+        path.write_text(json.dumps(recs))
+        unknown = "\tnote=k_f_circ-unknown"
+        assert run(capsys, ["classify", str(path)]) == (
+            0,
+            "S10\tcase=ZeroSlope\tbound_on_kp=0\tdensity=abundant\tconditional_on=-" + unknown + "\n"
+            "A10\tcase=SlopeBound\tbound_on_kp=1\tdensity=abundant\tconditional_on=-" + unknown + "\n"
+            "A10.SST\tcase=BisectionRST\tbound_on_kp=0\tdensity=conditional_abundant"
+            "\tconditional_on=SST\n"
+            "S10.w3\tcase=Weight3Bound\tbound_on_kp=0\tdensity=abundant\tconditional_on=-" + unknown + "\n"
+            "A10.w3\tcase=Weight3Bound\tbound_on_kp=5\tdensity=abundant\tconditional_on=-" + unknown + "\n",
+            "",
         )
 
     def test_unprintable_label_is_data_error(self, capsys, tmp_path):

@@ -113,8 +113,10 @@ class TestGroupClosure:
 
     def test_closure_cap(self):
         s6 = PermutationGroup.parse("(0 1);(0 1 2 3 4 5)", 6, cap=100)
-        with pytest.raises(ClosureCapExceeded):
-            s6.order
+        with pytest.raises(ClosureCapExceeded) as raised:
+            s6.elements
+        assert str(raised.value) == "closure exceeds cap of 100 elements"
+        assert s6.order == len(bfs_closure(s6.generators, 6, cap=10**6)) == 720
         for cap in (0, -5):
             with pytest.raises(ValueError):
                 PermutationGroup(3, cap=cap)
@@ -136,12 +138,13 @@ class TestGroupClosure:
         group = PermutationGroup(degree, gens)
         assert group.elements == expected  # the same elements in the same order
         order = len(expected)
-        assert PermutationGroup(degree, gens, cap=order).order == order
+        assert group.order == order
+        assert PermutationGroup(degree, gens, cap=order).elements == expected
         if order > 1:
             with pytest.raises(ClosureCapExceeded) as reference:
                 bfs_closure(gens, degree, cap=order - 1)
             with pytest.raises(ClosureCapExceeded) as raised:
-                PermutationGroup(degree, gens, cap=order - 1).order
+                PermutationGroup(degree, gens, cap=order - 1).elements
             assert str(raised.value) == str(reference.value)
             assert str(raised.value) == f"closure exceeds cap of {order - 1} elements"
 
@@ -211,6 +214,84 @@ class TestOrbitInvariants:
         frac = D8.element_fraction(lambda g: g.max_orbit_length() == 4)
         assert frac == Fraction(1, 4)  # the two 4-cycles
         assert S4.element_fraction(lambda g: True) == 1
+
+
+def _reference_invariants(elements, degree):
+    """The six invariants and the order, straight from a list of all
+    elements."""
+    bisecting = sum(1 for g in elements if g.bisects())
+    lam = max(g.max_orbit_length() for g in elements)
+    lam_min = max(g.min_orbit_length() for g in elements)
+    return {
+        "order": len(elements),
+        "max_orbit_length": lam,
+        "max_min_orbit_length": lam_min,
+        "slope": 1 - Fraction(lam, degree),
+        "min_orbit_slope": 1 - Fraction(lam_min, degree),
+        "has_bisecting": bisecting > 0,
+        "bisecting_fraction": Fraction(bisecting, len(elements)),
+    }
+
+
+def _invariants(group):
+    return {
+        "order": group.order,
+        "max_orbit_length": group.max_orbit_length(),
+        "max_min_orbit_length": group.max_min_orbit_length(),
+        "slope": group.slope(),
+        "min_orbit_slope": group.min_orbit_slope(),
+        "has_bisecting": group.has_bisecting(),
+        "bisecting_fraction": group.bisecting_fraction(),
+    }
+
+
+def _symmetric(n):
+    cycle = "(" + " ".join(map(str, range(n))) + ")"
+    return f"{cycle};(0 1)"
+
+
+def _alternating(n):
+    # a cycle of odd length n or n - 1 (an even permutation) and a
+    # 3-cycle generate A_n for n >= 3; A_2 is trivial
+    points = range(n) if n % 2 else range(1, n)
+    return "(" + " ".join(map(str, points)) + ");(0 1 2)" if n >= 3 else ""
+
+
+class TestCycleTypeHistogram:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))
+        )
+    )
+    def test_invariants_match_reference_closure(self, degree_and_images):
+        degree, images = degree_and_images
+        gens = [Permutation(im) for im in images]
+        expected = _reference_invariants(bfs_closure(gens, degree, cap=10**6), degree)
+        assert _invariants(PermutationGroup(degree, gens)) == expected
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("family", ["symmetric", "alternating"])
+    def test_closed_forms_without_enumeration(self, family, n):
+        gens = _symmetric(n) if family == "symmetric" else _alternating(n)
+        group = PermutationGroup.parse(gens, n, cap=1)  # enumeration would raise
+        even_alternating = family == "alternating" and n % 2 == 0
+        assert group.order == factorial(n) // (2 if family == "alternating" else 1)
+        # A_n of even degree has no n-cycle: its longest cycle has
+        # length n - 1, and its best shortest orbit is n/2, from (n/2, n/2)
+        assert group.slope() == (Fraction(1, n) if even_alternating else 0)
+        assert group.min_orbit_slope() == (Fraction(1, 2) if even_alternating else 0)
+        m, odd = divmod(n, 2)
+        assert group.has_bisecting() is not odd
+        if odd:
+            assert group.bisecting_fraction() == 0
+        elif family == "symmetric":
+            assert group.bisecting_fraction() == Fraction(1, 2 * m * m)
+        else:
+            assert group.bisecting_fraction() == Fraction(1, m * m)
+        if group.order > 1:
+            with pytest.raises(ClosureCapExceeded):
+                group.elements
 
 
 class TestBlockAction:

@@ -364,6 +364,25 @@ class TestAnalysis:
         assert calls["leq_strict"] <= len(defects)
         assert calls["_bareiss_det"] == len(polys)
 
+    def test_one_primality_test_per_prime_one_payload_per_polygon(self, monkeypatch):
+        from heckeslopes._arith import is_prime
+
+        is_prime.cache_clear()
+        records = load_forms(DATA / "golden_synth.json")
+        analyses = [analyze_form(rec) for rec in records]
+        assert is_prime.cache_info().misses == len({e.p for rec in records for e in rec.eigenvalues})
+
+        calls = []
+        vertices = SlopeMultiset.vertices
+        monkeypatch.setattr(SlopeMultiset, "vertices", lambda ms: calls.append(ms) or vertices(ms))
+        newton = {r.newton for an in analyses for r in an.reports if r.newton is not None}
+        hodge = {r.hodge for an in analyses for r in an.reports if r.hodge is not None}
+        emit_report(analyses, "tsv")
+        assert sorted(map(str, calls)) == sorted(map(str, newton))
+        calls.clear()
+        emit_report(analyses, "json")
+        assert sorted(map(str, calls)) == sorted(map(str, newton | hodge))
+
 
 class TestGuarantee:
     def test_cm_wins(self):
