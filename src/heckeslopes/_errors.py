@@ -14,5 +14,5 @@ class DataError(ValueError):
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Raised when the BFS closure would enumerate more elements than
-    the configured cap."""
+    """Raised when listing a group's elements would enumerate more
+    than the configured cap."""

@@ -15,15 +15,10 @@ slope bounds for eigenvalue fields:
   exact density in the group (a Chebotarev-style fraction).
 
 Each depends only on how many elements have each cycle type, so all of
-them read one cached histogram per group.  The group's order comes from
-a deterministic Schreier–Sims stabilizer chain over the generators'
-image tuples.  An order of n! or n!/2 means S_n or A_n, whose histogram
-is the closed form n!/z_λ over the partitions λ of n (the even ones for
-A_n).  Any other group is enumerated by closing the image tuples under
-composition (finite order makes inverses automatic) and each element's
-cycle type is counted once.  ``elements``, and so ``element_fraction``,
-raise ``ClosureCapExceeded`` when the order exceeds the closure cap;
-the cap bounds enumeration only, so S_10 and A_10 get their invariants.
+them read one cached histogram per group.  It rests on one deterministic
+Schreier–Sims stabilizer chain: the elements are the products of the
+chain's transversals, and the closure cap bounds only their enumeration
+(see ``PermutationGroup``).
 
 ``interact_rules`` turns coarse invariants of a pair of number fields
 (degrees, Galois group shape, discriminants) into facts about how the
@@ -37,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._arith import is_prime
@@ -199,29 +195,30 @@ def _centralizer_order(cycle_type: tuple[int, ...]) -> int:
     return z
 
 
-def _chain_order(degree: int, generators: Sequence[tuple[int, ...]]) -> int:
-    """Order of the group generated by image tuples, from a stabilizer
-    chain along the base 0, 1, ..., degree-1 built by incremental
-    Schreier–Sims (Knuth, "Efficient representation of perm groups",
-    1991; Seress, *Permutation Group Algorithms*, 2003, §4.2).
+def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
+    """Stabilizer chain of the group generated by image tuples, along
+    the base 0, 1, ..., degree-1, by incremental Schreier–Sims (Knuth,
+    "Efficient representation of perm groups", 1991; Seress, *Permutation
+    Group Algorithms*, 2003, §4.2).  Deterministic: no random elements.
 
-    ``reps[k]`` maps each point j of the orbit of k under G_k, the
-    pointwise stabilizer of 0..k-1, to a pair (u, u^-1) with u in G_k
-    and u(k) = j; the order is the product of the orbit lengths.  A new
-    generator of G_k that does not sift through the chain is kept in
-    ``strong[k]``, and each Schreier generator it makes (a product that
-    fixes k) is added to G_(k+1) in turn.  Deterministic: no random
-    elements, so no probability of a wrong order."""
+    Returns ``reps``: ``reps[k]`` maps each point j of the orbit of k
+    under G_k, the pointwise stabilizer of 0..k-1, to a pair (u, u^-1)
+    with u in G_k and u(k) = j.  Each element is exactly one product
+    u_0 * u_1 * ... of one u per level (Seress §4.1), so the order is
+    the product of the orbit lengths.  A generator of G_k that does not
+    sift through the chain joins ``strong[k]``, and each Schreier
+    generator it makes (a product that fixes k) is added to G_(k+1)."""
     identity = tuple(range(degree))
     reps = [{k: (identity, identity)} for k in range(degree)]
     strong: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
 
     def sifts(k: int, g: tuple[int, ...]) -> bool:
         for i in range(k, degree):
-            rep = reps[i].get(g[i])
-            if rep is None:
-                return False
-            g = tuple([rep[1][x] for x in g])
+            if g[i] != i:  # a fixed base point sifts by the identity
+                rep = reps[i].get(g[i])
+                if rep is None:
+                    return False
+                g = tuple([rep[1][x] for x in g])
         return True
 
     def add(k: int, g: tuple[int, ...]) -> None:
@@ -248,22 +245,22 @@ def _chain_order(degree: int, generators: Sequence[tuple[int, ...]]) -> int:
 
     for g in generators:
         add(0, g)
-    return prod(map(len, reps))
+    return reps
 
 
 class PermutationGroup:
     """Group of permutations of ``{0, ..., n-1}`` given by generators.
 
-    ``order`` comes from a Schreier–Sims stabilizer chain and never
-    lists the group.  The orbit invariants read one cached cycle-type
-    histogram (cycle type -> number of elements): the closed form for
-    S_n and A_n, recognized by an order of n! or n!/2 (A_n is the only
-    subgroup of index 2), and otherwise a count over ``elements``.
-    ``elements`` closes the generators' image tuples under composition
-    and raises ``ClosureCapExceeded`` when the order exceeds ``cap``, so
-    the cap bounds enumeration only.  With no generators the group is
-    trivial (the identity alone), so e.g. the trivial action on 3
-    points has slope 1 - 1/3 = 2/3.
+    One cached stabilizer chain serves the group: ``order`` is the
+    product of its transversal sizes, and ``elements`` lists the
+    products of one representative per transversal, sorted by image
+    tuple.  The orbit invariants read one cached cycle-type histogram:
+    the closed form n!/z_λ (even λ only for A_n) when the order is n! or
+    n!/2 (A_n is the only subgroup of index 2), otherwise a count over
+    ``elements``.  ``elements``, and so ``element_fraction``, raise
+    ``ClosureCapExceeded`` when the order exceeds ``cap``, before listing
+    anything, so the cap bounds enumeration only.  With no generators
+    the group is trivial: the trivial action on 3 points has slope 2/3.
     """
 
     def __init__(
@@ -284,7 +281,7 @@ class PermutationGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self._cap = cap
-        self._order: Optional[int] = None
+        self._reps: Optional[list[dict]] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
         self._histogram: Optional[dict[tuple[int, ...], int]] = None
 
@@ -307,24 +304,21 @@ class PermutationGroup:
         if self._elements is None:
             if self.order > self._cap:
                 raise ClosureCapExceeded(f"closure exceeds cap of {self._cap} elements")
-            gens = [g.images for g in self.generators]
-            stack = [tuple(range(self.degree))]
-            found = set(stack)
-            while stack:
-                a = stack.pop()
-                for g in gens:
-                    b = tuple([g[j] for j in a])
-                    if b not in found:
-                        found.add(b)
-                        stack.append(b)
-            self._elements = tuple(map(Permutation, sorted(found)))
+            products = [tuple(range(self.degree))]
+            for level in self._reps:  # built by self.order
+                if len(level) > 1:
+                    # itemgetter(*u)(p) is the image tuple of p * u
+                    getters = [itemgetter(*u) for u, _ in level.values()]
+                    products = [get(p) for get in getters for p in products]
+            products.sort()
+            self._elements = tuple(map(Permutation, products))
         return self._elements
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            self._order = _chain_order(self.degree, [g.images for g in self.generators])
-        return self._order
+        if self._reps is None:
+            self._reps = _chain(self.degree, [g.images for g in self.generators])
+        return prod(map(len, self._reps))
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"

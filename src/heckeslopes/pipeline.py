@@ -61,7 +61,7 @@ from .numberfield import (
     splits_completely,
     weil_bound_check,
 )
-from .polygon import SlopeMultiset, frobenius_polygon, hodge_polygon, vertices_payload
+from .polygon import SlopeMultiset, _exact, frobenius_polygon, hodge_polygon, vertices_payload
 
 __all__ = [
     "SchemaError",
@@ -374,7 +374,7 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
             if isinstance(c, bool) or not isinstance(c, (str, int)):
                 _fail(label, f"{where}.a", "entries must be rational strings or integers")
             try:
-                coords.append(c if isinstance(c, int) else int(c) if _INT_RE.fullmatch(c) else Fraction(c))
+                coords.append(c if isinstance(c, int) else int(c) if _INT_RE.fullmatch(c) else _exact(c))
             except (ValueError, ZeroDivisionError):
                 _fail(label, f"{where}.a", f"bad rational {c!r}")
         entries.append(ApEntry(p=p, split_in_F=item["split_in_F"], a=tuple(coords)))
@@ -409,7 +409,8 @@ def load_forms(path: Union[str, Path]) -> list[FormRecord]:
     (UTF-8)."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, too many digits, or nesting too deep
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return records_from_obj(obj)
 
@@ -615,16 +616,11 @@ def guarantee(rec: FormRecord) -> Guarantee:
         if not cands:
             cands.append(Guarantee(CASE_WEIGHT3, Fraction(k_f), DENSITY_NONE))
 
-    best = min(
-        enumerate(cands),
-        key=lambda ic: (
-            ic[1].bound_on_kp,
-            -_DENSITY_RANK[ic[1].density_class],
-            len(ic[1].conditional_on),
-            ic[0],
-        ),
+    # min keeps the first of equal keys, so precedence breaks ties
+    return min(
+        cands,
+        key=lambda g: (g.bound_on_kp, -_DENSITY_RANK[g.density_class], len(g.conditional_on)),
     )
-    return best[1]
 
 
 # ---------------------------------------------------------------------

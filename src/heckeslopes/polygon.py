@@ -30,6 +30,7 @@ crystalline Frobenius slopes of eigenforms, in closed form, and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Union
@@ -76,7 +77,7 @@ class SlopeMultiset:
         text = text.strip()
         if not text:
             return cls()
-        return cls(Fraction(part.strip()) for part in text.split(","))
+        return cls(part.strip() for part in text.split(","))
 
     # -- basic container protocol ------------------------------------
 
@@ -232,11 +233,19 @@ class SlopeMultiset:
         return a, b
 
 
+# an exponent beyond Python's own limit on integer strings, 4300 digits,
+# would have Fraction build a power of ten that long
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _exact(s: Rational) -> Fraction:
     if isinstance(s, float):
         # binary floats are almost never the rational the caller
         # meant; insist on Fraction/int/str to keep slopes exact
         raise TypeError(f"slope {s!r} is a float; pass a Fraction, int, or string")
+    exp = _EXPONENT.search(s) if isinstance(s, str) else None
+    if exp and (len(exp[1]) > 4300 or abs(int(exp[1])) > 4300):
+        raise ValueError(f"bad rational {s!r}: exponent magnitude above 4300")
     return Fraction(s)
 
 

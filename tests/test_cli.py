@@ -118,6 +118,10 @@ class TestPolygon:
         ),
         (["slope", "--gens", "(0 1)", "--n", "2", "--cap", "0"], "--cap must be >= 1"),
         (["slope", "--gens", "(0 1)", "--n", "2", "--cap", "-5"], "--cap must be >= 1"),
+        (
+            ["polygon", "--op", "dual", "--a", "1e999999999"],
+            "bad multiset for --a: bad rational '1e999999999': exponent magnitude above 4300",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -455,6 +459,36 @@ class TestClassify:
             2, "", "error: data: record 'demo.sqrt2', field 'interact': "
             "deg_K must be an integer, got True\n"
         )
+
+
+# files the JSON reader refuses with a RecursionError, a
+# UnicodeDecodeError (a UTF-16 byte-order mark) and Python's limit of
+# 4300 digits on integer strings (3.11 on; 3.10 reads the integer and
+# the record check refuses it)
+MALFORMED_FILES = {
+    "deep_nesting": b"[" * 100000 + b"]" * 100000,
+    "utf16_bom": b"\xff\xfe[\x00]\x00",
+    "long_integer": b"[" + b"7" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_malformed_file_is_one_data_error(capsys, tmp_path, command, name):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_FILES[name])
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: data: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_huge_exponent_is_one_data_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([dict(FORM, ap=[{"p": 3, "split_in_F": True, "a": ["1e999999999", "0"]}])]))
+    assert run(capsys, [command, str(path)]) == (
+        2, "", "error: data: record 'demo.sqrt2', field 'ap[0].a': bad rational '1e999999999'\n"
+    )
 
 
 class TestGlobalFlags:

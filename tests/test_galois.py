@@ -162,6 +162,34 @@ class TestGroupClosure:
         for gens, order in orders.items():
             assert PermutationGroup.parse(gens, n).order == order, gens
 
+    # groups whose stabilizer chains have several nontrivial levels, past
+    # the degree <= 6 of the property above
+    NAMED_GROUPS = {
+        "S4xS3": ("(0 1 2 3);(0 1);(4 5 6);(4 5)", 7, 144),
+        "C2^4": ("(0 1);(2 3);(4 5);(6 7)", 8, 16),
+        "D9": ("(0 1 2 3 4 5 6 7 8);(1 8)(2 7)(3 6)(4 5)", 9, 18),
+        "S3wrS2": ("(0 1 2);(0 1);(0 3)(1 4)(2 5)", 6, 72),
+        "S8xC2": ("(0 1 2 3 4 5 6 7);(0 1);(8 9)", 10, 80640),
+    }
+
+    @pytest.mark.parametrize("name", NAMED_GROUPS)
+    def test_named_groups_match_reference_closure(self, name):
+        gens, degree, order = self.NAMED_GROUPS[name]
+        group = PermutationGroup.parse(gens, degree)
+        expected = bfs_closure(group.generators, degree, cap=10**6)
+        assert group.elements == expected  # the same elements in the same order
+        assert group.order == len(expected) == order
+
+    def test_large_orders_without_enumeration(self):
+        # sifting skips the base points an element fixes; without that,
+        # the C_2^200 chain runs for minutes
+        s60 = PermutationGroup.parse(_symmetric(60), 60)
+        assert s60.order == factorial(60)
+        c2_200 = PermutationGroup.parse(";".join(f"({2 * i} {2 * i + 1})" for i in range(200)), 400)
+        assert c2_200.order == 2**200
+        with pytest.raises(ClosureCapExceeded):
+            c2_200.slope()
+
 
 class TestOrbitInvariants:
     @pytest.mark.parametrize(

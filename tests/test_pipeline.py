@@ -1,5 +1,6 @@
 """Eigenform ingestion, per-prime analysis, classification, reports."""
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,9 +121,13 @@ class TestSchema:
     )
     def test_coordinates_parse_as_fraction_does(self, text):
         # accepted exactly when Fraction accepts, with Fraction's value,
-        # on the running Python's grammar (3.10 refuses "1_000")
+        # on the running Python's grammar (3.10 refuses "1_000"), except
+        # that an exponent beyond 4300 in magnitude is refused
         obj = minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": [text]}])
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
         try:
+            if exponent and abs(int(exponent[1])) > 4300:
+                raise ValueError("exponent beyond 4300")
             expected = Fraction(text)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(SchemaError, match="bad rational"):
@@ -131,6 +136,17 @@ class TestSchema:
         (coord,) = record_from_dict(obj).eigenvalues[0].a
         assert type(coord) in (int, Fraction)
         assert coord == expected
+
+    @pytest.mark.parametrize("text", ["1e999999999", "-1E-999999999", "1.5e4301", "2e" + "9" * 5000])
+    def test_huge_exponents_are_refused_at_once(self, text):
+        # Fraction would build 10**999999999 before it returned
+        obj = minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": [text]}])
+        with pytest.raises(SchemaError, match="bad rational"):
+            record_from_dict(obj)
+
+    def test_exponent_at_the_bound_is_read(self):
+        obj = minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": ["1e-4300"]}])
+        assert record_from_dict(obj).eigenvalues[0].a == (Fraction(1, 10**4300),)
 
     def test_optional_metadata(self):
         rec = record_from_dict(

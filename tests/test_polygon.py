@@ -38,6 +38,12 @@ class TestConstruction:
         with pytest.raises((ValueError, ZeroDivisionError)):
             ms(bad)
 
+    def test_huge_exponent_refused(self):
+        # refused before Fraction builds 10**999999999
+        with pytest.raises(ValueError, match="exponent magnitude above 4300"):
+            ms("0,1e999999999")
+        assert ms("1e4300").slopes == (10**4300,)
+
     def test_rejects_non_rational(self):
         with pytest.raises(TypeError):
             SlopeMultiset([0.5])
