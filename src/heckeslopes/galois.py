@@ -15,7 +15,8 @@ slope bounds for eigenvalue fields:
   exact density in the group (a Chebotarev-style fraction).
 
 Each depends only on how many elements have each cycle type, so all of
-them read one cached histogram per group.  It rests on one deterministic
+them read one cached summary of the cycle types per group, in closed
+form for S_n and A_n.  It rests on one deterministic
 Schreier–Sims stabilizer chain: the elements are the products of the
 chain's transversals, and the closure cap bounds only their enumeration
 (see ``PermutationGroup``).
@@ -176,25 +177,6 @@ def _bisecting(cycle_type: tuple[int, ...]) -> bool:
     return len(cycle_type) == 2 and cycle_type[0] == cycle_type[1]
 
 
-def _partitions(n: int, smallest: int = 1):
-    """Partitions of ``n`` into parts >= ``smallest``, each as a
-    nondecreasing tuple (the form of ``Permutation.cycle_type``)."""
-    for part in range(smallest, n // 2 + 1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-    if n >= smallest:
-        yield (n,)
-
-
-def _centralizer_order(cycle_type: tuple[int, ...]) -> int:
-    """z_λ = prod over lengths i of i^m_i * m_i!, where m_i counts the
-    cycles of length i; S_n has n!/z_λ elements of cycle type λ."""
-    z = 1
-    for length, mult in Counter(cycle_type).items():
-        z *= length**mult * factorial(mult)
-    return z
-
-
 def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
     """Stabilizer chain of the group generated by image tuples, along
     the base 0, 1, ..., degree-1, by incremental Schreier–Sims (Knuth,
@@ -254,10 +236,10 @@ class PermutationGroup:
     One cached stabilizer chain serves the group: ``order`` is the
     product of its transversal sizes, and ``elements`` lists the
     products of one representative per transversal, sorted by image
-    tuple.  The orbit invariants read one cached cycle-type histogram:
-    the closed form n!/z_λ (even λ only for A_n) when the order is n! or
-    n!/2 (A_n is the only subgroup of index 2), otherwise a count over
-    ``elements``.  ``elements``, and so ``element_fraction``, raise
+    tuple.  The orbit invariants read one cached summary of the cycle
+    types: closed forms when the order is n! or n!/2 (S_n, and A_n, the
+    only subgroup of index 2), otherwise a count over ``elements``.
+    ``elements``, and so ``element_fraction``, raise
     ``ClosureCapExceeded`` when the order exceeds ``cap``, before listing
     anything, so the cap bounds enumeration only.  With no generators
     the group is trivial: the trivial action on 3 points has slope 2/3.
@@ -283,7 +265,7 @@ class PermutationGroup:
         self._cap = cap
         self._reps: Optional[list[dict]] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
-        self._histogram: Optional[dict[tuple[int, ...], int]] = None
+        self._summary: Optional[tuple[int, int, int]] = None
 
     @classmethod
     def parse(
@@ -323,31 +305,38 @@ class PermutationGroup:
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
-    def _cycle_types(self) -> dict[tuple[int, ...], int]:
-        """Number of elements of each cycle type (sorted orbit lengths)."""
-        if self._histogram is None:
+    def _orbit_summary(self) -> tuple[int, int, int]:
+        """(largest orbit length, largest shortest-orbit length, number
+        of bisecting elements) over the elements of the group."""
+        if self._summary is None:
             n, order = self.degree, self.order
             full = factorial(n)
-            if order == full or 2 * order == full:
-                self._histogram = {
-                    ct: full // _centralizer_order(ct)
-                    for ct in _partitions(n)
-                    if order == full or (n - len(ct)) % 2 == 0
-                }
+            # for even n, S_n has n!/z = 2(n-1)!/n elements of cycle type
+            # (n/2, n/2), z = (n/2)^2 * 2!, all of them even
+            bisecting = 2 * full // n**2 if n % 2 == 0 else 0
+            if order == full or (2 * order == full and n % 2):
+                # S_n, or A_n with n odd: an n-cycle is in the group
+                self._summary = (n, n, bisecting)
+            elif 2 * order == full:
+                # A_n with n even: n-cycles are odd, while the (n-1)-cycles
+                # and the type (n/2, n/2) are even
+                self._summary = (n - 1, n // 2, bisecting)
             else:
-                self._histogram = dict(Counter(g.cycle_type() for g in self.elements))
-        return self._histogram
+                types = Counter(g.cycle_type() for g in self.elements)
+                bisecting = sum(count for ct, count in types.items() if _bisecting(ct))
+                self._summary = (max(ct[-1] for ct in types), max(ct[0] for ct in types), bisecting)
+        return self._summary
 
     # -- orbit invariants ----------------------------------------------
 
     def max_orbit_length(self) -> int:
         """Largest orbit length achieved by any element."""
-        return max(ct[-1] for ct in self._cycle_types())
+        return self._orbit_summary()[0]
 
     def max_min_orbit_length(self) -> int:
         """Supremum over elements of that element's *shortest* orbit
         length (equals n exactly when some element is an n-cycle)."""
-        return max(ct[0] for ct in self._cycle_types())
+        return self._orbit_summary()[1]
 
     def slope(self) -> Fraction:
         """``1 - max_orbit_length()/degree``; in [0, 1), and 0 exactly
@@ -360,7 +349,7 @@ class PermutationGroup:
         return 1 - Fraction(self.max_min_orbit_length(), self.degree)
 
     def has_bisecting(self) -> bool:
-        return any(map(_bisecting, self._cycle_types()))
+        return self._orbit_summary()[2] > 0
 
     def element_fraction(self, predicate: Callable[[Permutation], bool]) -> Fraction:
         """Exact fraction of elements satisfying ``predicate`` — the
@@ -370,8 +359,7 @@ class PermutationGroup:
         return Fraction(hits, self.order)
 
     def bisecting_fraction(self) -> Fraction:
-        hits = sum(count for ct, count in self._cycle_types().items() if _bisecting(ct))
-        return Fraction(hits, self.order)
+        return Fraction(self._orbit_summary()[2], self.order)
 
     # -- induced actions -------------------------------------------------
 

@@ -37,7 +37,8 @@ Every modulus ``p`` must be prime (``ValueError`` otherwise), and
 
 ``embeddings`` (behind ``weil_bound_check``) uses only the standard
 library.  It certifies real roots to 1e-9 relative by an exact sign
-change; complex roots and the Weil comparison are floating point.
+change, evaluated in integers at the floats' exact ratios; complex
+roots and the Weil comparison are floating point.
 """
 
 from __future__ import annotations
@@ -462,11 +463,20 @@ def _bareiss_det(mat: list[list[int]]) -> int:
 
 
 def _horner(f: Sequence, z):
-    """``f(z)`` for ascending coefficients ``f``: in floating point at a
-    ``complex`` z, exactly at a ``Fraction``."""
+    """``f(z)`` for ascending coefficients ``f``, in the arithmetic of z."""
     acc = 0 * z
     for c in reversed(f):
         acc = acc * z + c
+    return acc
+
+
+def _scaled_value(f: Sequence[int], num: int, den: int) -> int:
+    """den^n * f(num/den) for integer ``f`` of length n + 1: exact, in
+    integers, and of the sign of f(num/den) when den > 0."""
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
     return acc
 
 
@@ -476,7 +486,8 @@ def embeddings(f: IntPoly) -> tuple[complex, ...]:
     in ``complex``.  A root whose conjugate is nearer to it than to any
     other root gets exact Newton steps, and is returned as
     ``complex(x, 0.0)``, certified, only if f vanishes or changes sign
-    exactly on x +- 1e-9*max(1, |x|).  Other roots are not certified."""
+    exactly on x +- 1e-9*max(1, |x|).  Both evaluate f in integers at
+    each float's exact ratio num/den.  Other roots are not certified."""
     f = _trim(list(f))
     n = _deg(f)
     if n < 1:
@@ -502,12 +513,17 @@ def embeddings(f: IntPoly) -> tuple[complex, ...]:
         if all(2 * abs(zi.imag) < abs(zi.conjugate() - zj) for j, zj in enumerate(z) if j != i):
             x = zi.real
             for _ in range(3):
-                q = Fraction(x)
-                dq = _horner(df, q)
-                if dq:
-                    x = float(q - _horner(f, q) / dq)
+                # q - f(q)/f'(q) = (num*D - F)/(D*den), F = den^n f(q), D =
+                # den^(n-1) f'(q); int / int rounds as float(Fraction) does,
+                # and with the sign on top, as in a Fraction, 0 gives +0.0
+                num, den = x.as_integer_ratio()
+                d = _scaled_value(df, num, den)
+                if d:
+                    top = num * d - _scaled_value(f, num, den)
+                    x = (top if d > 0 else -top) / (abs(d) * den)
             h = 1e-9 * max(1.0, abs(x))
-            if _horner(f, Fraction(x - h)) * _horner(f, Fraction(x + h)) <= 0:
+            below, above = (x - h).as_integer_ratio(), (x + h).as_integer_ratio()
+            if _scaled_value(f, *below) * _scaled_value(f, *above) <= 0:
                 z[i] = complex(x, 0.0)
     return tuple(z)
 

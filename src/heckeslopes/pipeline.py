@@ -23,6 +23,10 @@ polynomial.  Today every such p is refused as ramified, so
 skipped_index does not occur; it remains a distinct status for the
 report contract.
 
+What belongs to a field is computed once per file: records with equal
+generators share one ``PermutationGroup``, and the callers of
+``analyze_form`` pass one dict of ``split_in_F`` verdicts per file.
+
 ``guarantee`` classifies what the record's metadata alone proves about
 defects and ordinary density, choosing the strongest applicable case
 (smallest defect bound; ties prefer the better density class, then
@@ -255,7 +259,9 @@ def _positive_int(label, field, value):
     return value
 
 
-def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
+def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = None) -> FormRecord:
+    """Validate one record object.  ``groups`` maps (degree, generator
+    image tuples) to a group, so records listing one action share it."""
     if not isinstance(obj, dict):
         raise SchemaError(f"record #{position}: not a JSON object")
     label = obj.get("label")
@@ -330,7 +336,9 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
             gens = [Permutation.parse(s, degree) for s in gens_raw]
         except ValueError as exc:
             _fail(label, "galois_gens", str(exc))
-        galois_action = PermutationGroup(degree, gens)
+        key = (degree, tuple(g.images for g in gens))
+        groups = {} if groups is None else groups
+        galois_action = groups.setdefault(key, PermutationGroup(degree, gens))
 
     interact = None
     if "interact" in obj:
@@ -398,10 +406,11 @@ def record_from_dict(obj: dict, position: int = 0) -> FormRecord:
 
 def records_from_obj(obj) -> list[FormRecord]:
     """Validate an already-parsed JSON value (must be a list of record
-    objects)."""
+    objects).  Records with equal generators share one group."""
     if not isinstance(obj, list):
         raise SchemaError("top level must be a JSON list of form records")
-    return [record_from_dict(item, position=i) for i, item in enumerate(obj)]
+    groups: dict = {}
+    return [record_from_dict(item, position=i, groups=groups) for i, item in enumerate(obj)]
 
 
 def load_forms(path: Union[str, Path]) -> list[FormRecord]:
@@ -418,14 +427,16 @@ def load_forms(path: Union[str, Path]) -> list[FormRecord]:
 # ---------------------------------------------------------------------
 # per-prime analysis
 
-def _check_split_claim(rec: FormRecord, p: int) -> None:
-    try:
-        split = splits_completely(rec.field_poly, p)
-    except RamifiedPrimeError:
-        # field_poly has a repeated factor mod p: its roots cannot
-        # certify the claim either way, and the analysis never uses it
-        return
-    if not split:
+def _check_split_claim(rec: FormRecord, p: int, split_verdicts: dict) -> None:
+    key = (rec.field_poly, p)
+    if key not in split_verdicts:
+        try:
+            split_verdicts[key] = splits_completely(rec.field_poly, p)
+        except RamifiedPrimeError:
+            # field_poly has a repeated factor mod p: its roots cannot
+            # refute the claim, and the analysis never uses it
+            split_verdicts[key] = True
+    if not split_verdicts[key]:
         raise DataError(
             f"record {rec.label!r}: p={p} is flagged split_in_F but the base "
             "field polynomial does not split into distinct linear factors mod p"
@@ -433,12 +444,13 @@ def _check_split_claim(rec: FormRecord, p: int) -> None:
 
 
 def _analyze_entry(
-    rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset, newtons: dict[int, SlopeMultiset]
+    rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset, newtons: dict[int, SlopeMultiset],
+    split_verdicts: dict,
 ) -> PrimeReport:
     p = entry.p
     if not entry.split_in_F:
         return PrimeReport(p=p, status=STATUS_SKIPPED_NONSPLIT)
-    _check_split_claim(rec, p)
+    _check_split_claim(rec, p, split_verdicts)
     try:
         defect = k_of_p(entry.a, rec.hecke_poly, p)
     except RamifiedPrimeError:
@@ -484,22 +496,28 @@ def _analyze_entry(
     )
 
 
+# Roots per Hecke polynomial for the life of the process.  It stays a module
+# global because perfbench/run.py (_timed_pass) empties it by name before
+# each in-process pass; it can join the per-file state once that goes.
 _EMBEDDING_CACHE: dict[tuple[int, ...], tuple[complex, ...]] = {}
 
 
-def analyze_form(rec: FormRecord) -> FormAnalysis:
+def analyze_form(rec: FormRecord, *, split_verdicts: Optional[dict] = None) -> FormAnalysis:
     """Classify every listed prime of one record and summarize.
 
     Deterministic for a given record; the primes are analyzed serially
     in listed order.  Every ``split_in_F`` claim is cross-checked
     against the base field polynomial (``DataError`` on a false claim
-    or on an a_p whose coordinates are not integers).
+    or on an a_p whose coordinates are not integers).  The verdict on
+    each (field_poly, p) is stored in ``split_verdicts``; records of one
+    file pass the same dict, so each is computed once per file.
     Degenerate a_p = 0 primes count as analyzed-and-not-ordinary in the
     summary; their own rows keep the ``degenerate_ap_zero`` status.
     """
+    split_verdicts = {} if split_verdicts is None else split_verdicts
     hodge = hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
     newtons: dict[int, SlopeMultiset] = {}
-    reports = tuple(_analyze_entry(rec, e, hodge, newtons) for e in rec.eigenvalues)
+    reports = tuple(_analyze_entry(rec, e, hodge, newtons, split_verdicts) for e in rec.eigenvalues)
 
     counted = [r for r in reports if r.status in (STATUS_ANALYZED, STATUS_DEGENERATE_AP_ZERO)]
     n_analyzed = len(counted)

@@ -6,7 +6,11 @@ they are meant to check.
 """
 from __future__ import annotations
 
+import cmath
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import mpmath
 import numpy as np
@@ -198,3 +202,76 @@ def bfs_closure(generators, degree: int, cap: int):
                     fresh.append(b)
         frontier = fresh
     return tuple(sorted(found, key=lambda p: p.images))
+
+
+def _partitions(n: int, smallest: int = 1):
+    """Partitions of ``n`` into parts >= ``smallest``, each as a
+    nondecreasing tuple (the form of ``Permutation.cycle_type``)."""
+    for part in range(smallest, n // 2 + 1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+    if n >= smallest:
+        yield (n,)
+
+
+def cycle_type_histogram(n: int, alternating: bool = False) -> dict:
+    """Number of elements of S_n (or of A_n, the even cycle types) of
+    each cycle type λ: n!/z_λ with z_λ = prod over lengths i of
+    i^m_i * m_i!, m_i the number of cycles of length i.  One entry per
+    partition of n, so only for small n."""
+    histogram = {}
+    for ct in _partitions(n):
+        if alternating and (n - len(ct)) % 2:
+            continue
+        z = 1
+        for length, mult in Counter(ct).items():
+            z *= length**mult * factorial(mult)
+        histogram[ct] = factorial(n) // z
+    return histogram
+
+
+def fraction_embeddings(f):
+    """Reference for ``numberfield.embeddings``: the same Aberth-Ehrlich
+    iteration in ``complex``, with the three Newton steps and the sign
+    test on x +- 1e-9*max(1, |x|) done in ``Fraction`` arithmetic, each
+    Newton step rounded by ``float(Fraction)``."""
+
+    def horner(g, z):
+        acc = 0 * z
+        for c in reversed(g):
+            acc = acc * z + c
+        return acc
+
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
+    if n < 1:
+        return ()
+    df = [i * c for i, c in enumerate(f)][1:]
+    radius = 2 * max(abs(f[n - j] / f[n] / (1 + (j == n))) ** (1 / j) for j in range(1, n + 1))
+    z = [cmath.rect(radius, 2 * cmath.pi * k / n + 0.4) for k in range(n)]
+    prev = cmath.inf
+    for _ in range(200):
+        largest = 0.0
+        for i, zi in enumerate(z):
+            fz = horner(f, zi)
+            if fz:
+                w = fz / (horner(df, zi) - fz * sum(1 / (zi - zj) for zj in z if zj != zi))
+                z[i] = zi - w
+                largest = max(largest, abs(w) / max(1.0, abs(z[i])))
+        if largest < 1e-15 or (largest < 1e-6 and largest >= prev):
+            break
+        prev = largest
+    for i, zi in enumerate(z):
+        if all(2 * abs(zi.imag) < abs(zi.conjugate() - zj) for j, zj in enumerate(z) if j != i):
+            x = zi.real
+            for _ in range(3):
+                q = Fraction(x)
+                dq = horner(df, q)
+                if dq:
+                    x = float(q - horner(f, q) / dq)
+            h = 1e-9 * max(1.0, abs(x))
+            if horner(f, Fraction(x - h)) * horner(f, Fraction(x + h)) <= 0:
+                z[i] = complex(x, 0.0)
+    return tuple(z)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_closure
+from conftest import bfs_closure, cycle_type_histogram
 from heckeslopes.galois import (
     FACT_BISECTION_TRANSFERS,
     FACT_SLOPE_EQUALS_RATIONAL_BASE,
@@ -320,6 +320,25 @@ class TestCycleTypeHistogram:
         if group.order > 1:
             with pytest.raises(ClosureCapExceeded):
                 group.elements
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    @pytest.mark.parametrize("family", ["symmetric", "alternating"])
+    def test_closed_forms_match_the_partition_histogram(self, family, n):
+        histogram = cycle_type_histogram(n, alternating=family == "alternating")
+        order = sum(histogram.values())
+        lam = max(ct[-1] for ct in histogram)
+        lam_min = max(ct[0] for ct in histogram)
+        bisecting = sum(count for ct, count in histogram.items() if len(ct) == 2 and ct[0] == ct[1])
+        gens = _symmetric(n) if family == "symmetric" else _alternating(n)
+        assert _invariants(PermutationGroup.parse(gens, n, cap=1)) == {
+            "order": order,
+            "max_orbit_length": lam,
+            "max_min_orbit_length": lam_min,
+            "slope": 1 - Fraction(lam, n),
+            "min_orbit_slope": 1 - Fraction(lam_min, n),
+            "has_bisecting": bisecting > 0,
+            "bisecting_fraction": Fraction(bisecting, order),
+        }
 
 
 class TestBlockAction:

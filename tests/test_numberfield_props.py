@@ -1,7 +1,8 @@
 """Property-based tests: the gcd forms of the defect and of the split
 test agree with the factorization they replace, their refusals agree
 with the per-prime gcd(f, f') test, and the root finder agrees with
-numpy's companion-matrix roots."""
+numpy's companion-matrix roots and, bit for bit, with its exact-Fraction
+reference."""
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import repeated_factor_mod_p
+from conftest import fraction_embeddings, repeated_factor_mod_p
 from heckeslopes.numberfield import (
+    _horner,
+    _scaled_value,
     RamifiedPrimeError,
     discriminant,
     element_in_prime,
@@ -27,10 +30,10 @@ coeff_st = st.integers(-30, 30)
 
 
 @st.composite
-def monic_poly(draw):
+def monic_poly(draw, max_degree=8):
     """Random monic coefficients, or a product of linear factors x + r
     so that split and repeated-root cases are common too."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_degree))
     if draw(st.booleans()):
         return draw(st.lists(coeff_st, min_size=n, max_size=n)) + [1]
     f = [1]
@@ -119,3 +122,19 @@ def test_embeddings_match_numpy_roots(low):
     for x in real:
         h = 1e-9 * max(1.0, abs(x))
         assert _eval(f, Fraction(x - h)) * _eval(f, Fraction(x + h)) <= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_poly(max_degree=14))
+def test_embeddings_match_fraction_reference_bit_for_bit(f):
+    def bits(roots):
+        return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+    assert bits(embeddings(f)) == bits(fraction_embeddings(f))
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16), st.integers(-10**20, 10**20),
+       st.integers(1, 10**20))
+def test_scaled_value_is_the_exact_value_times_den_to_the_n(f, num, den):
+    n = len(f) - 1
+    assert _scaled_value(f, num, den) == den**n * _horner(f, Fraction(num, den))

@@ -400,6 +400,47 @@ class TestAnalysis:
         assert sorted(map(str, calls)) == sorted(map(str, newton | hodge))
 
 
+class TestPerFileSharing:
+    """Quantities of a field, not of a record, are computed once per file."""
+
+    def test_one_split_verdict_per_field_and_prime(self, monkeypatch, capsysbinary):
+        from heckeslopes.cli import main
+
+        calls = []
+        splits = numberfield.splits_completely
+        monkeypatch.setattr(pipeline, "splits_completely", lambda f, p: calls.append((f, p)) or splits(f, p))
+        path = DATA / "golden_synth.json"
+        assert main(["analyze", str(path)]) == 0
+        assert capsysbinary.readouterr().out == (DATA / "golden_synth.tsv").read_bytes()
+        checks = [(rec.field_poly, e.p) for rec in load_forms(path) for e in rec.eigenvalues if e.split_in_F]
+        assert (len(checks), len(set(checks))) == (284, 71)
+        assert sorted(calls) == sorted(set(checks))
+
+    def test_one_chain_per_distinct_action(self, monkeypatch, capsys):
+        from heckeslopes import galois
+        from heckeslopes.cli import main
+
+        calls = []
+        chain = galois._chain
+        monkeypatch.setattr(galois, "_chain", lambda degree, gens: calls.append(degree) or chain(degree, gens))
+        assert main(["classify", str(DATA / "golden_galois.json")]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "golden_classify.tsv").read_text(encoding="utf-8")
+        assert (out.count("\n"), len(calls)) == (32, 16)
+
+    def test_equal_generators_share_one_group(self):
+        s3 = {"galois_gens": ["(0 1 2)", "(0 1)"], "galois_degree": 3}
+        a, b, c = records_from_obj([
+            minimal_dict(label="a", **s3),
+            minimal_dict(label="b", **s3),
+            minimal_dict(label="c", galois_gens=["(0 1 2)"], galois_degree=3),
+        ])
+        assert a.galois_action is b.galois_action
+        assert c.galois_action is not a.galois_action
+        # each record alone builds its own
+        assert record_from_dict(minimal_dict(**s3)).galois_action is not a.galois_action
+
+
 class TestGuarantee:
     def test_cm_wins(self):
         g = guarantee(record_from_dict(minimal_dict(cm=True)))
