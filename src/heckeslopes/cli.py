@@ -154,14 +154,13 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_stc(args) -> int:
-    import dataclasses
     import json
 
     from .satotate import METHOD_CLOSED, METHOD_SERIES, tail_constant
 
     method = {"series": METHOD_SERIES, "closed": METHOD_CLOSED}[args.method]
     est = tail_constant(args.k, args.t, method=method)
-    print(json.dumps(dataclasses.asdict(est), sort_keys=True))
+    print(json.dumps(est._asdict(), sort_keys=True))
     return 0
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._arith import is_prime
 from ._errors import ClosureCapExceeded
@@ -411,19 +410,7 @@ FACT_BISECTION_TRANSFERS = "bisection_transfers"
 GROUP_KINDS = ("symmetric", "alternating", "cyclic", "klein", "dihedral", "other")
 
 
-@dataclass(frozen=True)
-class FieldInteraction:
-    """Coarse invariants of a coefficient field K over a base field F.
-
-    ``deg_K``/``deg_F`` are the absolute degrees, ``deg_F_tilde`` the
-    degree of the Galois closure of F, ``galois_group_kind`` (one of
-    ``GROUP_KINDS``) the shape of Gal of the closure of K, and the
-    discriminants are of K and F.  Degrees and discriminants are
-    integers (not bools), degrees positive; anything else raises
-    ``ValueError``.  Unknown entries stay ``None`` and simply disable
-    the rules that need them.
-    """
-
+class _FieldInteractionFields(NamedTuple):
     deg_K: Optional[int] = None
     deg_F: Optional[int] = None
     deg_F_tilde: Optional[int] = None
@@ -431,7 +418,28 @@ class FieldInteraction:
     disc_K: Optional[int] = None
     disc_F: Optional[int] = None
 
-    def __post_init__(self):
+
+class FieldInteraction(_FieldInteractionFields):
+    """Coarse invariants of a coefficient field K over a base field F.
+
+    ``deg_K``/``deg_F`` are the absolute degrees, ``deg_F_tilde`` the
+    degree of the Galois closure of F, ``galois_group_kind`` (one of
+    ``GROUP_KINDS``) the shape of Gal of the closure of K, and the
+    discriminants are of K and F.  Degrees and discriminants are
+    integers (not bools), degrees positive; anything else raises
+    ``ValueError``, also from ``_make`` and ``_replace``.  Unknown
+    entries stay ``None`` and simply disable the rules that need them.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.galois_group_kind is not None and self.galois_group_kind not in GROUP_KINDS:
             raise ValueError(f"unknown galois_group_kind: {self.galois_group_kind!r}")
         for name in ("deg_K", "deg_F", "deg_F_tilde", "disc_K", "disc_F"):
@@ -442,6 +450,7 @@ class FieldInteraction:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name.startswith("deg_") and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
+        return self
 
 
 def interact_rules(meta: FieldInteraction) -> frozenset[str]:

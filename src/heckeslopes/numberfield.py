@@ -46,7 +46,6 @@ from __future__ import annotations
 import cmath
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -288,8 +287,7 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
 # ---------------------------------------------------------------------
 # splitting data and congruences
 
-@dataclass(frozen=True)
-class PrimeSplitting:
+class PrimeSplitting(NamedTuple):
     """Shape of ``p`` in K: the factors of f mod p with multiplicities
     (the ramification indices when Z[x] is maximal at p) and their
     residue degrees.  ``ramified`` marks a repeated factor, which for

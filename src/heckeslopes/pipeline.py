@@ -41,10 +41,9 @@ import functools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ._errors import DataError, SchemaError
 from .galois import (
@@ -120,19 +119,17 @@ DENSITY_CAVEAT = (
 
 ASSUMPTION_SST = "SST"
 ASSUMPTION_RST = "RST"
-_TST_RE = re.compile(r"^tST\((\d+)\)$")
+_TST_RE = re.compile(r"tST\(([0-9]+)\)")  # fullmatch: ASCII digits, no trailing newline
 _INT_RE = re.compile(r"[-+]?[0-9]+")  # read alike by int and Fraction on every Python
 
 
-@dataclass(frozen=True)
-class ApEntry:
+class ApEntry(NamedTuple):
     p: int
     split_in_F: bool
     a: tuple[Union[int, Fraction], ...]  # int unless written "a/b", "3.0", ...
 
 
-@dataclass(frozen=True)
-class FormRecord:
+class FormRecord(NamedTuple):
     """One eigenform worth of data plus the optional metadata that the
     guarantee classifier can exploit.  ``k_f`` is the Hecke field
     degree, ``k_f_circ`` the degree of its self-twist-invariant
@@ -161,8 +158,7 @@ class FormRecord:
         return self.weight[0]
 
 
-@dataclass(frozen=True)
-class PrimeReport:
+class PrimeReport(NamedTuple):
     """Outcome for one listed prime.  Skipped rows leave the numeric
     fields at ``None``."""
 
@@ -176,8 +172,7 @@ class PrimeReport:
     half_bound: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class FormSummary:
+class FormSummary(NamedTuple):
     n_primes: int
     n_analyzed: int
     n_ordinary: int
@@ -187,15 +182,13 @@ class FormSummary:
     prime_bound: Optional[int]
 
 
-@dataclass(frozen=True)
-class FormAnalysis:
+class FormAnalysis(NamedTuple):
     record: FormRecord
     reports: tuple[PrimeReport, ...]
     summary: FormSummary
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(NamedTuple):
     """What the metadata alone proves: a bound on the defect k(p) valid
     for all sufficiently large analyzed primes, and the density class
     of the ordinary locus it implies."""
@@ -227,7 +220,6 @@ _OPTIONAL_KEYS = {
     "galois_degree",
     "interact",
 }
-_INTERACT_KEYS = tuple(f.name for f in fields(FieldInteraction))
 
 
 def _fail(label: str, field: str, problem: str) -> None:
@@ -317,9 +309,9 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             _fail(label, "assumptions", "must be a list of strings")
         for s in raw:
-            if s not in (ASSUMPTION_SST, ASSUMPTION_RST) and not _TST_RE.match(s):
+            m = _TST_RE.fullmatch(s)
+            if m is None and s not in (ASSUMPTION_SST, ASSUMPTION_RST):
                 _fail(label, "assumptions", f"unknown assumption {s!r}")
-            m = _TST_RE.match(s)
             if m and int(m.group(1)) < 1:
                 _fail(label, "assumptions", f"tST index must be >= 1 in {s!r}")
         assumptions = frozenset(raw)
@@ -345,7 +337,7 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
         raw = obj["interact"]
         if not isinstance(raw, dict):
             _fail(label, "interact", "must be an object")
-        unknown = set(raw).difference(_INTERACT_KEYS)
+        unknown = set(raw).difference(FieldInteraction._fields)
         if unknown:
             _fail(label, f"interact.{sorted(unknown)[0]}", "unknown key")
         try:
@@ -544,7 +536,7 @@ def _sato_tate_assumptions(assumptions: frozenset[str]):
     ts = sorted(
         int(m.group(1))
         for s in assumptions
-        for m in [_TST_RE.match(s)]
+        for m in [_TST_RE.fullmatch(s)]
         if m is not None
     )
     return has_sst, has_rst, ts

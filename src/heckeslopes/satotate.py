@@ -73,12 +73,11 @@ both need nothing outside the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import asin, exp, factorial, lgamma, log, pi, prod, sqrt, tanh
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "density",
@@ -122,15 +121,7 @@ def cdf(y: float) -> float:
     return 0.5 + y * sqrt(4.0 - y * y) / (4.0 * pi) + asin(y / 2.0) / pi
 
 
-@dataclass(frozen=True)
-class CEstimate:
-    """One tail-constant value with an explicit error bound.
-
-    ``abs_error`` is the tail, working-precision and rounding bounds of
-    the module docstring for the series, and a floating-point bound for
-    closed forms.  ``seed`` is always None: nothing is sampled.
-    """
-
+class _CEstimateFields(NamedTuple):
     k: int
     t: int
     value: float
@@ -139,11 +130,31 @@ class CEstimate:
     samples_or_nodes: int
     seed: Optional[int] = None
 
-    def __post_init__(self):
+
+class CEstimate(_CEstimateFields):
+    """One tail-constant value with an explicit error bound.
+
+    ``abs_error`` is the tail, working-precision and rounding bounds of
+    the module docstring for the series, and a floating-point bound for
+    closed forms.  ``seed`` is always None: nothing is sampled.  A value
+    outside (0, 1] or a negative ``abs_error`` raises ``ValueError``,
+    also from ``_make`` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.value <= 1.0:
             raise ValueError(f"tail constant out of (0, 1]: {self.value}")
         if self.abs_error < 0.0:
             raise ValueError("abs_error must be >= 0")
+        return self
 
 
 def tail_constant_closed_form(k: int) -> float:

@@ -179,6 +179,27 @@ class TestTailConstant:
         assert payload["samples_or_nodes"] == 0
         assert abs(payload["value"] - 0.1587395) < 1e-6
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--k", "4", "--t", "2"],
+                '{"abs_error": 7.126770501346521e-17, "k": 4, "method": "series", '
+                '"samples_or_nodes": 6, "seed": null, "t": 2, "value": 0.3202429367885303}\n',
+            ),
+            (
+                ["--k", "5", "--t", "1", "--method", "closed"],
+                '{"abs_error": 1e-15, "k": 5, "method": "closed_form", '
+                '"samples_or_nodes": 0, "seed": null, "t": 1, "value": 0.03978225879279239}\n',
+            ),
+        ],
+        ids=["series", "closed"],
+    )
+    def test_json_bytes(self, capsysbinary, argv, expected):
+        """One JSON object, keys sorted, floats in their shortest repr."""
+        assert main(["stc"] + argv) == 0
+        assert capsysbinary.readouterr() == (expected.encode(), b"")
+
     def test_bad_arguments(self, capsys):
         cases = [
             (["--k", "2", "--t", "3"], "need 1 <= t <= k"),
@@ -460,6 +481,14 @@ class TestClassify:
             "deg_K must be an integer, got True\n"
         )
 
+    @pytest.mark.parametrize("assumption", ["tST(3)\n", "tST(\u0663)"], ids=["newline", "arabic_digit"])
+    def test_tst_index_is_ascii_digits_only(self, capsys, tmp_path, assumption):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([dict(FORM, ap=[], k_f_circ=2, assumptions=[assumption])]))
+        assert run(capsys, ["classify", str(path)]) == (
+            2, "", f"error: data: record 'demo.sqrt2', field 'assumptions': unknown assumption {assumption!r}\n"
+        )
+
 
 # files the JSON reader refuses with a RecursionError, a
 # UnicodeDecodeError (a UTF-16 byte-order mark) and Python's limit of
@@ -554,12 +583,12 @@ PIPELINE_LOADS = ("_arith", "_errors", "cli", "galois", "numberfield", "pipeline
     ids=["polygon", "slope", "classify", "analyze", "table", "stc"],
 )
 def test_heavy_imports_only_where_used(forms_file, argv, loads):
-    """No command loads numpy or SciPy, and each loads only the
-    heckeslopes submodules it runs: a fresh process lists what a command
-    left in ``sys.modules``."""
+    """No command loads numpy, SciPy or dataclasses, and each loads only
+    the heckeslopes submodules it runs: a fresh process lists what a
+    command left in ``sys.modules``."""
     script = (
         "import sys; from heckeslopes.cli import main; code = main(sys.argv[1:]); "
-        "print('loaded=' + ','.join(m for m in ('numpy', 'scipy') if m in sys.modules), "
+        "print('loaded=' + ','.join(m for m in ('numpy', 'scipy', 'dataclasses') if m in sys.modules), "
         "file=sys.stderr); "
         "print('submodules=' + ','.join(sorted(m.split('.', 1)[1] for m in sys.modules "
         "if m.startswith('heckeslopes.'))), file=sys.stderr); sys.exit(code)"

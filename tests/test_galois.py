@@ -460,6 +460,17 @@ class TestInteractRules:
         with pytest.raises(ValueError):
             FieldInteraction(deg_K=0)
 
+    def test_replace_and_make_validate(self):
+        meta = FieldInteraction(deg_K=3)
+        with pytest.raises(ValueError, match="deg_K must be positive"):
+            meta._replace(deg_K=0)
+        with pytest.raises(ValueError, match="unknown galois_group_kind"):
+            meta._replace(galois_group_kind="sporadic")
+        with pytest.raises(ValueError, match="disc_F must be an integer"):
+            FieldInteraction._make([3, 1, 1, "other", 5, True])
+        assert meta._replace(deg_F=2) == FieldInteraction(deg_K=3, deg_F=2)
+        assert type(FieldInteraction._make(meta)) is FieldInteraction
+
     @pytest.mark.parametrize(
         "kwargs,message",
         [

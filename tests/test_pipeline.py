@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeslopes import numberfield, pipeline, polygon
+from heckeslopes import numberfield, pipeline, polygon, satotate
 from heckeslopes.pipeline import (
     CASE_BISECTION,
     CASE_CM,
@@ -237,6 +237,32 @@ class TestSchema:
         second = load_forms(path)
         assert first == second
         assert first[1].interact.disc_K == 8
+
+
+def test_every_record_type_is_immutable():
+    """Each record type, built the way the library builds it, refuses
+    attribute assignment."""
+    rec = record_from_dict(
+        sqrt2_dict(galois_gens=["(0 1)"], galois_degree=2, interact={"deg_K": 2, "deg_F": 1})
+    )
+    analysis = analyze_form(rec)
+    records = [
+        rec,
+        rec.eigenvalues[0],
+        rec.interact,
+        analysis,
+        analysis.reports[0],
+        analysis.summary,
+        guarantee(rec),
+        numberfield.splitting_type(rec.hecke_poly, 7),
+        numberfield.k_of_p((3, 1), rec.hecke_poly, 7),
+        satotate.tail_constant(3, 2),
+    ]
+    assert len({type(r) for r in records}) == len(records)
+    for r in records:
+        for name in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
 
 
 class TestAnalysis:

@@ -216,6 +216,15 @@ class TestEstimateRecord:
             CEstimate(k=3, t=1, value=0.5, abs_error=-1.0, method=METHOD_CLOSED,
                       samples_or_nodes=1)
 
+    def test_replace_and_make_validate(self):
+        est = tail_constant(2, 1, method=METHOD_CLOSED)
+        with pytest.raises(ValueError, match="out of"):
+            est._replace(value=2.0)
+        with pytest.raises(ValueError, match="abs_error"):
+            CEstimate._make([*est[:3], -1.0, *est[4:]])
+        assert CEstimate._make(est) == est._replace() == est
+        assert type(est._replace(seed=None)) is CEstimate
+
     def test_frozen(self):
         est = tail_constant(2, 1, method=METHOD_CLOSED)
         with pytest.raises(AttributeError):
