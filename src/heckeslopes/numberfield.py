@@ -38,7 +38,9 @@ Every modulus ``p`` must be prime (``ValueError`` otherwise), and
 ``embeddings`` (behind ``weil_bound_check``) uses only the standard
 library.  It certifies real roots to 1e-9 relative by an exact sign
 change, evaluated in integers at the floats' exact ratios; complex
-roots and the Weil comparison are floating point.
+roots and the Weil comparison are floating point.  ``weil_bound_check``
+finds the roots once per polynomial, in a bounded memo next to the
+discriminant's, so callers pass only the element and the polynomial.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import cmath
 import functools
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from ._arith import is_prime
 
@@ -526,26 +528,27 @@ def embeddings(f: IntPoly) -> tuple[complex, ...]:
     return tuple(z)
 
 
-def weil_bound_check(
-    a: Sequence[Coord],
-    f: IntPoly,
-    p: int,
-    weight: int = 2,
-    roots: Optional[Sequence[complex]] = None,
-) -> bool:
+@functools.lru_cache(maxsize=256)
+def _roots(f: tuple[int, ...]) -> tuple[complex, ...]:
+    # one root finding per polynomial, however many elements are checked;
+    # ``embeddings`` is looked up by name, so a wrapper on it counts them
+    return embeddings(f)
+
+
+def weil_bound_check(a: Sequence[Coord], f: IntPoly, p: int, weight: int = 2) -> bool:
     """Check |sigma(a)| <= 2*sqrt(p) (weight 2) or <= 2*p (weight 3)
     for every archimedean embedding sigma, with a 1e-9 relative slack
-    for the floating-point root finding.  ``roots`` may carry the
-    precomputed ``embeddings(f)`` when checking many elements of one
-    field."""
+    for the floating-point root finding.  The roots of ``f`` are found
+    once per polynomial and kept in a bounded memo (the last 256
+    polynomials), so checking many elements of one field finds them
+    once."""
     if weight not in (2, 3):
         raise ValueError("weight must be 2 or 3")
     _require_length(a, _deg(list(f)))
     coeffs = [n / d for n, d in _fractions(a)]
     bound = 2 * (p**0.5) if weight == 2 else 2.0 * p
     bound *= 1 + 1e-9
-    roots = embeddings(f) if roots is None else roots
-    return all(abs(_horner(coeffs, root)) <= bound for root in roots)
+    return all(abs(_horner(coeffs, root)) <= bound for root in _roots(tuple(f)))
 
 
 def half_bound_check(k_p: int, k_f: int, p: int) -> str:

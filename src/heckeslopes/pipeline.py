@@ -26,6 +26,8 @@ report contract.
 What belongs to a field is computed once per file: records with equal
 generators share one ``PermutationGroup``, and the callers of
 ``analyze_form`` pass one dict of ``split_in_F`` verdicts per file.
+The roots of a Hecke polynomial belong to the polynomial, not to a
+file: ``numberfield.weil_bound_check`` finds them once and keeps them.
 
 ``guarantee`` classifies what the record's metadata alone proves about
 defects and ordinary density, choosing the strongest applicable case
@@ -57,7 +59,6 @@ from .galois import (
 from .numberfield import (
     IndexWarningError,
     RamifiedPrimeError,
-    embeddings,
     half_bound_check,
     is_prime,
     k_of_p,
@@ -455,10 +456,7 @@ def _analyze_entry(
         raise DataError(f"record {rec.label!r}, p={p}: a_p over hecke_poly: {exc}") from exc
 
     try:
-        roots = _EMBEDDING_CACHE.get(rec.hecke_poly)
-        if roots is None:
-            roots = _EMBEDDING_CACHE[rec.hecke_poly] = embeddings(rec.hecke_poly)
-        weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=rec.motivic_weight, roots=roots)
+        weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=rec.motivic_weight)
     except OverflowError as exc:
         problem = "hecke_poly or a_p exceeds the float range of the Weil check"
         raise DataError(f"record {rec.label!r}, p={p}: {problem}") from exc
@@ -488,10 +486,9 @@ def _analyze_entry(
     )
 
 
-# Roots per Hecke polynomial for the life of the process.  It stays a module
-# global because perfbench/run.py (_timed_pass) empties it by name before
-# each in-process pass; it can join the per-file state once that goes.
-_EMBEDDING_CACHE: dict[tuple[int, ...], tuple[complex, ...]] = {}
+# Always empty: the roots live in numberfield.  The name stays only because
+# perfbench/run.py (_timed_pass) empties it before each in-process pass.
+_EMBEDDING_CACHE: dict = {}
 
 
 def analyze_form(rec: FormRecord, *, split_verdicts: Optional[dict] = None) -> FormAnalysis:
@@ -531,15 +528,10 @@ def analyze_form(rec: FormRecord, *, split_verdicts: Optional[dict] = None) -> F
 # metadata classifier
 
 def _sato_tate_assumptions(assumptions: frozenset[str]):
-    has_sst = ASSUMPTION_SST in assumptions
-    has_rst = ASSUMPTION_RST in assumptions
-    ts = sorted(
-        int(m.group(1))
-        for s in assumptions
-        for m in [_TST_RE.fullmatch(s)]
-        if m is not None
-    )
-    return has_sst, has_rst, ts
+    """Whether SST and RST are listed, and the listed tST string with
+    the least n (ties broken by the string), or None."""
+    tsts = [(int(m.group(1)), s) for s in assumptions if (m := _TST_RE.fullmatch(s))]
+    return ASSUMPTION_SST in assumptions, ASSUMPTION_RST in assumptions, min(tsts)[1] if tsts else None
 
 
 def guarantee(rec: FormRecord) -> Guarantee:
@@ -556,52 +548,56 @@ def guarantee(rec: FormRecord) -> Guarantee:
     Weight 3 replaces the non-CM cases by k_f - k_f/k_f°
     (principally) and k_f * min_orbit_slope (abundant).  Missing
     metadata just removes candidates — nothing is inferred.
-    """
-    k_f = rec.k_f
-    cands: list[Guarantee] = []
-    if rec.cm:
-        cands.append(Guarantee(CASE_CM, Fraction(0), DENSITY_PRINCIPAL))
 
+    The Galois action is read only when it can change the case.  CM,
+    and k_f° <= 2 at weight 2, give bound 0 principally and
+    unconditionally, so they return first; a zero-slope ``interact``
+    fact sets sigma = 0 without ``slope()`` (weight 2) or
+    ``min_orbit_slope()`` (weight 3); and ``has_bisecting()``, whose
+    bound 0 is conditional, is asked only when sigma != 0.
+    """
     try:
         facts = interact_rules(rec.interact) if rec.interact is not None else frozenset()
     except ValueError as exc:
         # a deg_K too large for is_prime to decide
         raise DataError(f"record {rec.label!r}, field 'interact': {exc}") from exc
-    zero_slope_fact = bool(
-        {FACT_SLOPE_ZERO_OVER_F, FACT_SLOPE_ZERO_OVER_F_TILDE} & facts
-    )
-    has_sst, has_rst, ts = _sato_tate_assumptions(rec.assumptions)
+    weight2 = rec.motivic_weight == 2
+    if rec.cm:
+        return Guarantee(CASE_CM, Fraction(0), DENSITY_PRINCIPAL)
+    if weight2 and rec.k_f_circ is not None and rec.k_f_circ <= 2:
+        return Guarantee(CASE_SMALL_FIELD, Fraction(0), DENSITY_PRINCIPAL)
 
-    if rec.motivic_weight == 2:
-        if rec.k_f_circ is not None and rec.k_f_circ <= 2:
-            cands.append(Guarantee(CASE_SMALL_FIELD, Fraction(0), DENSITY_PRINCIPAL))
+    k_f, k_f_circ, group = rec.k_f, rec.k_f_circ, rec.galois_action
+    sigma: Optional[Fraction] = None
+    if {FACT_SLOPE_ZERO_OVER_F, FACT_SLOPE_ZERO_OVER_F_TILDE} & facts:
+        # a zero full-orbit slope means some element is a full cycle,
+        # which zeroes the min-orbit slope as well
+        sigma = Fraction(0)
+    elif group is not None:
+        sigma = group.slope() if weight2 else group.min_orbit_slope()
 
-        sigma: Optional[Fraction] = None
-        if rec.galois_action is not None:
-            sigma = rec.galois_action.slope()
-        if zero_slope_fact:
-            sigma = Fraction(0)
+    cands: list[Guarantee] = []
+    if weight2:
         if sigma is not None:
             bound = k_f * min(Fraction(1, 2), sigma)
             case = CASE_ZERO_SLOPE if bound == 0 else CASE_SLOPE_BOUND
             cands.append(Guarantee(case, bound, DENSITY_ABUNDANT))
 
-        if (has_sst or has_rst or ts) and rec.k_f_circ is not None:
-            bound = Fraction(k_f, rec.k_f_circ) * ((rec.k_f_circ - 1) // 2)
-            if ts:
-                used = f"tST({ts[0]})"
-            else:
-                used = ASSUMPTION_RST if has_rst else ASSUMPTION_SST
+        has_sst, has_rst, tst = _sato_tate_assumptions(rec.assumptions)
+        if (has_sst or has_rst or tst) and k_f_circ is not None:
+            bound = Fraction(k_f, k_f_circ) * ((k_f_circ - 1) // 2)
+            used = tst or (ASSUMPTION_RST if has_rst else ASSUMPTION_SST)
             cands.append(
                 Guarantee(CASE_RST, bound, DENSITY_CONDITIONAL, frozenset({used}))
             )
 
         if (
             (has_sst or has_rst)
-            and rec.k_f_circ is not None
-            and rec.k_f_circ % 2 == 0
-            and rec.galois_action is not None
-            and rec.galois_action.has_bisecting()
+            and k_f_circ is not None
+            and k_f_circ % 2 == 0
+            and group is not None
+            and sigma != 0
+            and group.has_bisecting()
         ):
             used = ASSUMPTION_RST if has_rst else ASSUMPTION_SST
             cands.append(
@@ -610,19 +606,12 @@ def guarantee(rec: FormRecord) -> Guarantee:
 
         cands.append(Guarantee(CASE_HALF, Fraction(k_f, 2), DENSITY_PRINCIPAL))
     else:
-        if rec.k_f_circ is not None:
+        if k_f_circ is not None:
             cands.append(
-                Guarantee(CASE_WEIGHT3, k_f - Fraction(k_f, rec.k_f_circ), DENSITY_PRINCIPAL)
+                Guarantee(CASE_WEIGHT3, k_f - Fraction(k_f, k_f_circ), DENSITY_PRINCIPAL)
             )
-        sigma_min: Optional[Fraction] = None
-        if rec.galois_action is not None:
-            sigma_min = rec.galois_action.min_orbit_slope()
-        if zero_slope_fact:
-            # a zero full-orbit slope means some element is a full cycle,
-            # which zeroes the min-orbit slope as well
-            sigma_min = Fraction(0)
-        if sigma_min is not None:
-            cands.append(Guarantee(CASE_WEIGHT3, k_f * sigma_min, DENSITY_ABUNDANT))
+        if sigma is not None:
+            cands.append(Guarantee(CASE_WEIGHT3, k_f * sigma, DENSITY_ABUNDANT))
         if not cands:
             cands.append(Guarantee(CASE_WEIGHT3, Fraction(k_f), DENSITY_NONE))
 

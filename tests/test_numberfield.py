@@ -298,9 +298,16 @@ class TestWeilBound:
         assert weil_bound_check((3, 1), SQRT2, 7) is True
         assert weil_bound_check((4, 1), SQRT2, 7) is False  # 4+sqrt2 > 2 sqrt7
 
-    def test_precomputed_roots_shortcut(self):
-        roots = embeddings(SQRT2)
-        assert weil_bound_check((1, 1), SQRT2, 2, roots=roots) is True
+    def test_roots_found_once_per_polynomial(self, monkeypatch):
+        from heckeslopes import numberfield
+
+        calls = []
+        monkeypatch.setattr(numberfield, "embeddings", lambda f: calls.append(f) or embeddings(f))
+        numberfield._roots.cache_clear()
+        # 4 + sqrt2 > 2 sqrt7; a list presents the same polynomial
+        elements = [((1, 1), SQRT2), ((3, 1), SQRT2), ((4, 1), list(SQRT2)), ((0, 2), SQRT2)]
+        assert [weil_bound_check(a, f, 7) for a, f in elements] == [True, True, False, True]
+        assert calls == [SQRT2]
 
 
 class TestHalfBound:

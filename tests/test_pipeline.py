@@ -374,7 +374,7 @@ class TestAnalysis:
             assert analysis.summary.n_analyzed > 0
 
     def test_one_polygon_per_defect_one_discriminant_per_polynomial(self, monkeypatch):
-        calls = {"frobenius_polygon": 0, "leq_strict": 0, "_bareiss_det": 0}
+        calls = {"frobenius_polygon": 0, "leq_strict": 0, "_bareiss_det": 0, "embeddings": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -391,6 +391,9 @@ class TestAnalysis:
         # each discriminant is one Bareiss determinant
         monkeypatch.setattr(numberfield, "_bareiss_det", counting("_bareiss_det", numberfield._bareiss_det))
         numberfield._discriminant.cache_clear()
+        # one root finding per Hecke polynomial, however many primes check it
+        monkeypatch.setattr(numberfield, "embeddings", counting("embeddings", numberfield.embeddings))
+        numberfield._roots.cache_clear()
 
         records = load_forms(DATA / "golden_synth.json")
         analyses = [analyze_form(rec) for rec in records]
@@ -405,6 +408,8 @@ class TestAnalysis:
         assert calls["frobenius_polygon"] <= len(defects) + len(records)
         assert calls["leq_strict"] <= len(defects)
         assert calls["_bareiss_det"] == len(polys)
+        weil_checked = {an.record.hecke_poly for an in analyses if any(r.weil_ok is not None for r in an.reports)}
+        assert calls["embeddings"] == len(weil_checked) > 1
 
     def test_one_primality_test_per_prime_one_payload_per_polygon(self, monkeypatch):
         from heckeslopes._arith import is_prime
@@ -564,16 +569,26 @@ class TestGuarantee:
         )
         assert g.conditional_on == {"tST(1)"}
 
-    def test_rst_bound_uses_weakest_sufficient_assumption(self):
+    @pytest.mark.parametrize(
+        "listed,named",
+        [
+            (["SST", "RST", "tST(2)", "tST(1)"], "tST(1)"),
+            # the least n, ties broken by the string, named as listed
+            (["tST(03)", "tST(4)"], "tST(03)"),
+            (["tST(3)", "tST(03)"], "tST(03)"),
+            (["tST(10)", "tST(9)"], "tST(9)"),
+        ],
+    )
+    def test_rst_bound_uses_weakest_sufficient_assumption(self, listed, named):
         rec = record_from_dict(
             minimal_dict(
                 hecke_poly=[-2, 0, 0, 0, 1],
                 k_f_circ=4,
-                assumptions=["SST", "RST", "tST(2)", "tST(1)"],
+                assumptions=listed,
                 ap=[],
             )
         )
-        assert guarantee(rec).conditional_on == {"tST(1)"}
+        assert guarantee(rec).conditional_on == {named}
 
     def test_bisection_with_rst(self):
         rec = record_from_dict(
@@ -671,6 +686,59 @@ class TestGuarantee:
             g = guarantee(rec)
             assert isinstance(g.bound_on_kp, Fraction)
             assert 0 <= g.bound_on_kp <= rec.k_f
+
+
+# S_6 wr S_2 on 12 points, the action preserving the blocks {0..5} and
+# {6..11}: order 720^2 * 2 = 1 036 800, over the closure cap
+WREATH_S6_S2 = dict(
+    d=1, field_poly=[0, 1], level_norm=1, hecke_poly=[-1, -1] + [0] * 10 + [1], ap=[],
+    galois_degree=12, galois_gens=["(0 1 2 3 4 5)", "(0 1)", "(0 6)(1 7)(2 8)(3 9)(4 10)(5 11)"],
+)
+ZERO_SLOPE_FACT = {"deg_K": 3, "deg_F": 1}
+DECIDED_WREATH = [
+    (dict(cm=True, weight=[2]), "case=CM_ordinary\tbound_on_kp=0\tdensity=principally_abundant"),
+    (dict(cm=False, weight=[2], k_f_circ=2), "case=SmallFrobeniusField\tbound_on_kp=0\tdensity=principally_abundant"),
+    (dict(cm=False, weight=[2], interact=ZERO_SLOPE_FACT), "case=ZeroSlope\tbound_on_kp=0\tdensity=abundant"),
+    (dict(cm=False, weight=[3], interact=ZERO_SLOPE_FACT), "case=Weight3Bound\tbound_on_kp=0\tdensity=abundant"),
+]
+
+
+class TestGuaranteeReadsOnlyWhatDecides:
+    """Metadata that decides the case leaves the Galois action unread,
+    so a group over the closure cap does not stop the classification."""
+
+    @pytest.mark.parametrize("meta,fields", DECIDED_WREATH, ids=["cm", "small", "zero2", "zero3"])
+    def test_decided_wreath_product_records(self, meta, fields, tmp_path, capsys):
+        from heckeslopes.cli import main
+
+        path = tmp_path / "wreath.json"
+        path.write_text(json.dumps([dict(WREATH_S6_S2, label="wr", **meta)]), encoding="utf-8")
+        assert main(["classify", str(path)]) == 0
+        note = "" if "k_f_circ" in meta else "\tnote=k_f_circ-unknown"
+        assert capsys.readouterr().out == f"wr\t{fields}\tconditional_on=-{note}\n"
+
+    @pytest.mark.parametrize("meta,fields", DECIDED_WREATH, ids=["cm", "small", "zero2", "zero3"])
+    def test_decided_records_read_no_orbit_invariant(self, meta, fields, monkeypatch):
+        from heckeslopes.galois import PermutationGroup
+
+        def unread(self):
+            raise AssertionError("an orbit invariant was read")
+
+        for name in ("slope", "min_orbit_slope", "has_bisecting"):
+            monkeypatch.setattr(PermutationGroup, name, unread)
+        # sigma = 0 from the interact fact: the bisection case, which
+        # would ask has_bisecting, cannot win either
+        meta = dict(meta, assumptions=["RST"], k_f_circ=meta.get("k_f_circ", 4))
+        g = guarantee(record_from_dict(dict(WREATH_S6_S2, label="wr", **meta)))
+        assert f"case={g.case}\tbound_on_kp={g.bound_on_kp}\tdensity={g.density_class}" == fields
+
+    def test_undecided_wreath_product_still_stops_at_the_cap(self, tmp_path, capsys):
+        from heckeslopes.cli import main
+
+        path = tmp_path / "wreath.json"
+        path.write_text(json.dumps([dict(WREATH_S6_S2, label="wr", cm=False, weight=[2])]), encoding="utf-8")
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: data: closure exceeds cap of 1000000 elements\n"
 
 
 class TestReports:
