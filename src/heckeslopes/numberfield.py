@@ -26,11 +26,11 @@ factors.  In the same way ``splits_completely`` counts the roots of
 ``int`` or ``Fraction`` (``TypeError`` otherwise).
 
 Factorization mod p, used only by ``splitting_type`` (and so by
-callers that want the shape of ``p`` itself), is squarefree
-decomposition, then distinct-degree splitting, then randomized
-equal-degree splitting.  The draws come from a fixed
-``random.Random(0)`` stream, and the sorted factor list does not
-depend on them anyway.
+callers that want the shape of ``p`` itself), is one distinct-degree
+loop over f mod p itself, which counts multiplicities as it divides
+factors out, with randomized equal-degree splitting.  The draws come
+from a fixed ``random.Random(0)`` stream, and the sorted factor list
+does not depend on them anyway.
 
 Every modulus ``p`` must be prime (``ValueError`` otherwise), and
 ``is_prime`` refuses, also with ``ValueError``, to decide p >= 3.3e24.
@@ -96,12 +96,16 @@ def _reduce(f: IntPoly, p: int) -> list[int]:
     return _trim([c % p for c in f])
 
 
+def _reduce_mod_prime(f: IntPoly, p: int) -> list[int]:
+    """``f`` mod ``p``, refusing a ``p`` that is not prime: modulo a
+    composite there is no field."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _reduce(f, p)
+
+
 def _deg(f) -> int:
     return len(f) - 1
-
-
-def _is_one(f) -> bool:
-    return len(f) == 1 and f[0] == 1
 
 
 def _sub(f, g, p):
@@ -167,68 +171,8 @@ def _pow_mod(base, e, mod, p):
     return result
 
 
-def _deriv(f, p):
-    return _trim([i * c % p for i, c in enumerate(f)][1:])
-
-
-def _pth_root(f, p):
-    # over GF(p) every coefficient is its own p-th root, so the root of
-    # sum a_j x^{pj} is sum a_j x^j
-    root = [0] * (_deg(f) // p + 1)
-    for i, c in enumerate(f):
-        if c:
-            if i % p:
-                raise ValueError("polynomial is not a p-th power")
-            root[i // p] = c
-    return _trim(root)
-
-
 # ---------------------------------------------------------------------
 # factorization mod p
-
-def _squarefree_parts(f, p):
-    """Decompose monic ``f`` into pairwise-coprime squarefree monic
-    parts with multiplicities: returns [(g, m), ...] with
-    f = prod g^m."""
-    out = []
-    c = _gcd(f, _deriv(f, p), p)
-    w = _divmod(f, c, p)[0]
-    m = 1
-    while not _is_one(w):
-        y = _gcd(w, c, p)
-        part = _divmod(w, y, p)[0]
-        if _deg(part) > 0:
-            out.append((part, m))
-        w = y
-        c = _divmod(c, y, p)[0]
-        m += 1
-    if not _is_one(c):
-        # c is a p-th power: recurse on its root, multiplicities scale by p
-        for g, m in _squarefree_parts(_pth_root(c, p), p):
-            out.append((g, m * p))
-    return out
-
-
-def _distinct_degree(f, p):
-    """Split squarefree monic ``f`` into products of irreducibles of a
-    common degree: returns [(product, degree), ...]."""
-    out = []
-    x = [0, 1]
-    h = x[:]
-    rest = f[:]
-    d = 0
-    while _deg(rest) >= 2 * (d + 1):
-        d += 1
-        h = _pow_mod(h, p, rest, p)
-        g = _gcd(rest, _sub(h, x, p), p)
-        if _deg(g) > 0:
-            out.append((g, d))
-            rest = _divmod(rest, g, p)[0]
-            h = _mod(h, rest, p)
-    if _deg(rest) > 0:
-        out.append((rest, _deg(rest)))
-    return out
-
 
 def _equal_degree(f, d, p, rng):
     """Split squarefree monic ``f``, a product of irreducibles all of
@@ -267,21 +211,38 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
     is canonical whatever the randomized equal-degree stage draws.
     A unit leading coefficient is normalized away, so the product of
     the factors is the monic normalization of ``f`` mod ``p``.
+
+    One distinct-degree loop over f mod p itself: once the factors of
+    degree < d are divided out of ``rest``, gcd(x^(p^d) - x, rest) is
+    the product g of its distinct irreducible factors of degree d, each
+    once, since x^(p^d) - x is squarefree.  Dividing g out of ``rest``
+    counts the multiplicities: after the m-th division gcd(rest, g)
+    keeps the factors of multiplicity > m, and ``_equal_degree`` splits
+    the quotient, those of multiplicity m.  Once deg rest < 2(d + 1),
+    rest is irreducible or 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    fb = _reduce(f, p)
+    fb = _reduce_mod_prime(f, p)
     if not fb:
         raise ValueError("polynomial vanishes mod p")
-    fb = _monic(fb, p)
-    if _deg(fb) == 0:
-        return []
+    rest = _monic(fb, p)
     rng = random.Random(0)
     factors = []
-    for part, mult in _squarefree_parts(fb, p):
-        for prod, d in _distinct_degree(part, p):
-            for g in _equal_degree(prod, d, p, rng):
-                factors.append((tuple(g), mult))
+    x = h = [0, 1]
+    d = 0
+    while _deg(rest) >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, rest, p)  # x^(p^d) mod rest
+        g = _gcd(rest, _sub(h, x, p), p)
+        m = 0
+        while _deg(g) > 0:
+            rest, m = _divmod(rest, g, p)[0], m + 1
+            more = _gcd(rest, g, p)  # the factors of multiplicity > m
+            once = _divmod(g, more, p)[0]
+            if _deg(once) > 0:
+                factors += [(tuple(q), m) for q in _equal_degree(once, d, p, rng)]
+            g = more
+    if _deg(rest) > 0:
+        factors.append((tuple(rest), 1))
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return factors
 
@@ -302,11 +263,9 @@ class PrimeSplitting(NamedTuple):
     ramified: bool
 
 
-def _require_monic_and_prime(f: IntPoly, p: int) -> None:
+def _require_monic(f: IntPoly) -> None:
     if not f or f[-1] != 1:
         raise ValueError("defining polynomial must be monic")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
 
 
 def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
@@ -316,7 +275,7 @@ def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
     caller's claim.  The degree identity sum(e_i * f_i) = deg f always
     holds.
     """
-    _require_monic_and_prime(f, p)
+    _require_monic(f)
     factors = tuple(factor_mod_p(f, p))
     return PrimeSplitting(
         p=p,
@@ -355,10 +314,8 @@ def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
     """Whether the integral element with power-basis coordinates ``a``
     lies in the prime (p, g(x)) — i.e. its reduction mod p is divisible
     by the residue factor ``g``, which must not vanish mod p.  ``p`` must
-    be prime, as in ``k_of_p``: modulo a composite there is no field."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    gbar = _reduce(g, p)
+    be prime, as in ``k_of_p``."""
+    gbar = _reduce_mod_prime(g, p)
     if not gbar:
         raise ValueError(f"residue factor {list(g)} vanishes mod {p}")
     return not _mod(_integral_reduction(a, p), gbar, p)
@@ -376,12 +333,13 @@ def _squarefree_reduction(f: IntPoly, p: int) -> list[int]:
     """``f`` mod ``p`` for monic ``f``, refusing ``p`` (with
     ``RamifiedPrimeError``) when it has a repeated factor, which for
     monic ``f`` of degree >= 1 happens exactly when p | disc(f)."""
-    _require_monic_and_prime(f, p)
+    _require_monic(f)
+    fb = _reduce_mod_prime(f, p)
     if len(f) > 1 and _discriminant(tuple(f)) % p == 0:
         # the Dedekind criterion will separate genuine ramification
         # from index divisors (IndexWarningError) here
         raise RamifiedPrimeError(f"p={p} ramifies in the field")
-    return _reduce(f, p)
+    return fb
 
 
 def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:

@@ -313,6 +313,10 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
             m = _TST_RE.fullmatch(s)
             if m is None and s not in (ASSUMPTION_SST, ASSUMPTION_RST):
                 _fail(label, "assumptions", f"unknown assumption {s!r}")
+            if m and len(m.group(1)) > 4300:
+                # beyond Python's own limit on integer strings, which
+                # early 3.10 releases lack
+                _fail(label, "assumptions", "tST index has more than 4300 digits")
             if m and int(m.group(1)) < 1:
                 _fail(label, "assumptions", f"tST index must be >= 1 in {s!r}")
         assumptions = frozenset(raw)
@@ -322,6 +326,9 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
         _fail(label, "galois_gens", "galois_gens and galois_degree go together")
     if "galois_gens" in obj:
         degree = _positive_int(label, "galois_degree", obj["galois_degree"])
+        if k_f % degree != 0:
+            # the action permutes the embeddings of K_f or of a subfield
+            _fail(label, "galois_degree", f"must divide the Hecke degree {k_f}")
         gens_raw = obj["galois_gens"]
         if not isinstance(gens_raw, list) or not all(isinstance(s, str) for s in gens_raw):
             _fail(label, "galois_gens", "must be a list of permutation strings")

@@ -32,6 +32,17 @@ TAIL_TRUTH = {
 }
 
 
+def poly_mul_mod(f, g, p: int) -> list[int]:
+    """Product of coefficient lists (ascending) over GF(p), trimmed."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def primes_below(n: int) -> list[int]:
     sieve = np.ones(n, dtype=bool)
     sieve[:2] = False

@@ -520,6 +520,29 @@ def test_huge_exponent_is_one_data_error(capsys, tmp_path, command):
     )
 
 
+# a tST index past Python's 4300-digit limit on integer strings (3.11
+# on), and Galois actions on more points than the quadratic Hecke
+# field has embeddings; a degree of 3 * 10^7 must be refused before
+# permutations of that many points are built
+OVERSIZED_METADATA = {
+    "long_tst_index": (dict(assumptions=["tST(" + "9" * 5000 + ")"]),
+                       "'assumptions': tST index has more than 4300 digits"),
+    "huge_galois_degree": (dict(galois_degree=3 * 10**7, galois_gens=["()"]),
+                           "'galois_degree': must divide the Hecke degree 2"),
+    "galois_degree_not_dividing": (dict(galois_degree=3, galois_gens=["(0 1 2)"]),
+                                   "'galois_degree': must divide the Hecke degree 2"),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED_METADATA)
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_oversized_metadata_is_one_data_error(capsys, tmp_path, command, name):
+    change, problem = OVERSIZED_METADATA[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([dict(FORM, **change)]))
+    assert run(capsys, [command, str(path)]) == (2, "", f"error: data: record 'demo.sqrt2', field {problem}\n")
+
+
 class TestGlobalFlags:
     def test_threads_do_not_change_output(self, capsys):
         argv = ["stc", "--k", "3", "--t", "2"]

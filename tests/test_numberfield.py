@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import primes_below, quadratic_defect
+from conftest import poly_mul_mod, primes_below, quadratic_defect
 from heckeslopes.numberfield import (
     Defect,
     IndexWarningError,
@@ -24,16 +24,6 @@ X = (0, 1)  # the rational field presented as Q[x]/(x)
 SQRT2 = (-2, 0, 1)
 
 
-def poly_mul_mod(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 class TestFactorModP:
     def test_split_quadratic(self):
         assert factor_mod_p(SQRT2, 7) == [((3, 1), 1), ((4, 1), 1)]
@@ -45,8 +35,8 @@ class TestFactorModP:
         assert factor_mod_p(SQRT2, 2) == [((0, 1), 2)]
 
     def test_repeated_factor_with_pth_power_part(self):
-        # (x+1)^3 (x+2) mod 3: the derivative kills the cube, forcing the
-        # p-th-root branch of the squarefree decomposition
+        # (x+1)^3 (x+2) mod 3: the derivative kills the cube, so the
+        # multiplicity 3 = p is counted by dividing x + 1 out three times
         f = (2, 1, 0, 2, 1)  # expanded product reduced mod 3
         assert factor_mod_p(f, 3) == [((1, 1), 3), ((2, 1), 1)]
 

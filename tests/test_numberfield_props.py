@@ -1,8 +1,10 @@
-"""Property-based tests: the gcd forms of the defect and of the split
-test agree with the factorization they replace, their refusals agree
-with the per-prime gcd(f, f') test, and the root finder agrees with
-numpy's companion-matrix roots and, bit for bit, with its exact-Fraction
-reference."""
+"""Property-based tests: the factorization mod p is a product of
+distinct irreducibles (checked by trial division), the gcd forms of the
+defect and of the split test agree with the factorization they replace,
+their refusals agree with the per-prime gcd(f, f') test, and the root
+finder agrees with numpy's companion-matrix roots and, bit for bit,
+with its exact-Fraction reference."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_embeddings, repeated_factor_mod_p
+from conftest import fraction_embeddings, poly_mul_mod, repeated_factor_mod_p
 from heckeslopes.numberfield import (
     _horner,
     _scaled_value,
@@ -96,6 +98,55 @@ def test_refused_exactly_at_a_repeated_factor(f, p):
     else:
         assert k_of_p(a, f, p) == (0, False)
         splits_completely(f, p)
+
+
+def _divides(g, f, p):
+    """Whether monic ``g`` divides ``f`` over GF(p), by long division."""
+    f = list(f)
+    while len(f) >= len(g):
+        q, shift = f[-1], len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] = (f[shift + i] - q * c) % p
+        f.pop()
+    return not any(f)
+
+
+def _irreducible(g, p):
+    """Trial division by every monic polynomial of degree 1 .. deg g // 2."""
+    n = len(g) - 1
+    return n >= 1 and not any(
+        _divides(list(low) + [1], g, p)
+        for k in range(1, n // 2 + 1)
+        for low in itertools.product(range(p), repeat=k)
+    )
+
+
+@st.composite
+def factored_mod_small_prime(draw):
+    """A prime p <= 7 and a product of random monic factors, each raised
+    to a multiplicity from 1 to p + 1, so some are p-th powers."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)) + [1]
+        for _ in range(draw(st.integers(1, p + 1))):
+            f = poly_mul_mod(f, g, p)
+    return f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_mod_small_prime())
+def test_factor_mod_p_gives_distinct_sorted_irreducibles(fp):
+    f, p = fp
+    factors = factor_mod_p(f, p)
+    product = [1]
+    for g, m in factors:
+        assert g[-1] == 1 and m >= 1 and _irreducible(g, p)
+        for _ in range(m):
+            product = poly_mul_mod(product, g, p)
+    assert product == f
+    assert len({g for g, _ in factors}) == len(factors)
+    assert factors == sorted(factors, key=lambda gm: (len(gm[0]), gm[0]))
 
 
 def _eval(f, x):

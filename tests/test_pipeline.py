@@ -187,6 +187,8 @@ class TestSchema:
             ),
             (dict(extra_field=1), "extra_field"),
             (dict(galois_gens=["()"]), "galois_degree"),
+            # the action permutes the embeddings of K_f (or of a subfield)
+            (dict(galois_gens=["(0 1)"], galois_degree=2), "galois_degree"),
             (dict(assumptions=["xST"]), "assumptions"),
             (dict(assumptions=["tST(0)"]), "assumptions"),
             (dict(d=True), "d"),
@@ -460,11 +462,12 @@ class TestPerFileSharing:
         assert (out.count("\n"), len(calls)) == (32, 16)
 
     def test_equal_generators_share_one_group(self):
-        s3 = {"galois_gens": ["(0 1 2)", "(0 1)"], "galois_degree": 3}
+        cubic = {"hecke_poly": [-2, 0, 0, 1], "ap": []}
+        s3 = dict(cubic, galois_gens=["(0 1 2)", "(0 1)"], galois_degree=3)
         a, b, c = records_from_obj([
             minimal_dict(label="a", **s3),
             minimal_dict(label="b", **s3),
-            minimal_dict(label="c", galois_gens=["(0 1 2)"], galois_degree=3),
+            minimal_dict(label="c", galois_gens=["(0 1 2)"], galois_degree=3, **cubic),
         ])
         assert a.galois_action is b.galois_action
         assert c.galois_action is not a.galois_action
