@@ -135,18 +135,19 @@ def _monic(f, p):
 def _divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    # one pass, top down: the terms that cancel, f[dg:], are cut at the end
     f = list(f)
     dg = _deg(g)
     inv = pow(g[-1], p - 2, p)
     q = [0] * max(0, len(f) - dg)
-    while _deg(f) >= dg and f:
-        coef = f[-1] * inv % p
-        shift = _deg(f) - dg
-        q[shift] = coef
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - coef * b) % p
-        _trim(f)
-    return _trim(q), f
+    for shift in range(len(f) - 1 - dg, -1, -1):
+        coef = f[shift + dg] * inv % p
+        if coef:
+            q[shift] = coef
+            for i in range(dg):
+                f[shift + i] = (f[shift + i] - coef * g[i]) % p
+    del f[dg:]
+    return _trim(q), _trim(f)
 
 
 def _mod(f, g, p):

@@ -15,13 +15,13 @@ with rationals written as strings ("3", "-1/2").  ``analyze_form``
 classifies each listed prime: skipped (not split in the base field,
 ramified in the Hecke field, or carrying an index warning), degenerate
 (a_p = 0 lies in every prime, defect = full degree), or analyzed with
-its ordinariness defect k(p), Newton/Hodge polygons, Weil bound check
-and the large-prime half bound.  The skipped_ramified and
-skipped_index statuses are ``k_of_p``'s refusals (``RamifiedPrimeError``,
-``IndexWarningError``) when p divides the discriminant of the Hecke
-polynomial.  Today every such p is refused as ramified, so
-skipped_index does not occur; it remains a distinct status for the
-report contract.
+its ordinariness defect k(p), Newton/Hodge polygons and the large-prime
+half bound; the Weil bound check runs only in the JSON report, the one
+output that prints it.  The skipped_ramified and skipped_index statuses
+are ``k_of_p``'s refusals (``RamifiedPrimeError``, ``IndexWarningError``)
+when p divides the discriminant of the Hecke polynomial.  Today every
+such p is refused as ramified, so skipped_index does not occur; it
+remains a distinct status for the report contract.
 
 What belongs to a field is computed once per file: records with equal
 generators share one ``PermutationGroup``, and the callers of
@@ -160,8 +160,8 @@ class FormRecord(NamedTuple):
 
 
 class PrimeReport(NamedTuple):
-    """Outcome for one listed prime.  Skipped rows leave the numeric
-    fields at ``None``."""
+    """Outcome for one listed prime (the JSON report adds ``weil_ok``).
+    Skipped rows leave the numeric fields at ``None``."""
 
     p: int
     status: str
@@ -169,7 +169,6 @@ class PrimeReport(NamedTuple):
     newton: Optional[SlopeMultiset] = None
     hodge: Optional[SlopeMultiset] = None
     ordinary: Optional[bool] = None
-    weil_ok: Optional[bool] = None
     half_bound: Optional[str] = None
 
 
@@ -379,12 +378,14 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
             _fail(label, f"{where}.a", f"must be a list of {k_f} rationals")
         coords = []
         for c in a_raw:
-            if isinstance(c, bool) or not isinstance(c, (str, int)):
+            if isinstance(c, str):
+                try:
+                    c = int(c) if _INT_RE.fullmatch(c) else _exact(c)
+                except (ValueError, ZeroDivisionError):
+                    _fail(label, f"{where}.a", f"bad rational {c!r}")
+            elif not isinstance(c, int) or isinstance(c, bool):
                 _fail(label, f"{where}.a", "entries must be rational strings or integers")
-            try:
-                coords.append(c if isinstance(c, int) else int(c) if _INT_RE.fullmatch(c) else _exact(c))
-            except (ValueError, ZeroDivisionError):
-                _fail(label, f"{where}.a", f"bad rational {c!r}")
+            coords.append(c)
         entries.append(ApEntry(p=p, split_in_F=item["split_in_F"], a=tuple(coords)))
 
     return FormRecord(
@@ -461,12 +462,6 @@ def _analyze_entry(
         # the record's degree and primality are validated on load, so
         # what remains is the data: an a_p with non-integer coordinates
         raise DataError(f"record {rec.label!r}, p={p}: a_p over hecke_poly: {exc}") from exc
-
-    try:
-        weil_ok = weil_bound_check(entry.a, rec.hecke_poly, p, weight=rec.motivic_weight)
-    except OverflowError as exc:
-        problem = "hecke_poly or a_p exceeds the float range of the Weil check"
-        raise DataError(f"record {rec.label!r}, p={p}: {problem}") from exc
     newton = newtons.get(defect.k)
     if newton is None:  # one polygon, and one check, per defect
         newton = newtons[defect.k] = frobenius_polygon(rec.d, rec.k_f, defect.k, rec.motivic_weight)
@@ -488,7 +483,6 @@ def _analyze_entry(
         newton=newton,
         hodge=hodge,
         ordinary=defect.k == 0,
-        weil_ok=weil_ok,
         half_bound=half_bound,
     )
 
@@ -639,9 +633,19 @@ def _bool_str(b: Optional[bool]) -> str:
     return "" if b is None else ("true" if b else "false")
 
 
+def _weil_ok(rec: FormRecord, entry: ApEntry) -> bool:
+    try:
+        return weil_bound_check(entry.a, rec.hecke_poly, entry.p, weight=rec.motivic_weight)
+    except OverflowError as exc:
+        problem = "hecke_poly or a_p exceeds the float range of the Weil check"
+        raise DataError(f"record {rec.label!r}, p={entry.p}: {problem}") from exc
+
+
 def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
     """Serialize analyses deterministically (rows sorted by label then
-    prime) as TSV or JSON; output is byte-identical across runs."""
+    prime) as TSV or JSON; output is byte-identical across runs.  Only
+    JSON prints ``weil_ok``: it runs the Weil check on each row with a
+    defect, a ``DataError`` beyond the float range."""
     # the rows of a record share one polygon per k: one payload for each
     if fmt == "tsv":
         newton_json = functools.lru_cache(maxsize=None)(
@@ -673,8 +677,9 @@ def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
         payload = functools.lru_cache(maxsize=None)(vertices_payload)
         forms = []
         for an in sorted(analyses, key=lambda a: a.record.label):
-            s = an.summary
+            s, rec = an.summary, an.record
             primes = []
+            entries = {e.p: e for e in rec.eigenvalues}  # one per prime, as loaded
             for rep in sorted(an.reports, key=lambda r: r.p):
                 primes.append(
                     {
@@ -682,7 +687,7 @@ def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
                         "status": rep.status,
                         "k_p": rep.k_p,
                         "ordinary": rep.ordinary,
-                        "weil_ok": rep.weil_ok,
+                        "weil_ok": None if rep.k_p is None else _weil_ok(rec, entries[rep.p]),
                         "half_bound": rep.half_bound,
                         "newton_vertices": None
                         if rep.newton is None
@@ -694,7 +699,7 @@ def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
                 )
             forms.append(
                 {
-                    "label": an.record.label,
+                    "label": rec.label,
                     "summary": {
                         "n_primes": s.n_primes,
                         "n_analyzed": s.n_analyzed,

@@ -51,6 +51,13 @@ NEWTON_BELOW_HODGE_ERROR = (
     "above the Hodge polygon with the same endpoints\n"
 )
 
+FLOAT_RANGE_ERROR = (
+    "error: data: record 'demo.sqrt2', p=3: hecke_poly or a_p exceeds the float range "
+    "of the Weil check\n"
+)
+# FORM's row at p=3 when hecke_poly = x^2 + 1 mod 3 and a_p = 1 or 1 + x there: defect 0
+ANALYZED_AT_3 = '3\tanalyzed\t0\ttrue\t[["0","0"],["2","0"],["4","2"]]\tnot_applicable'
+
 # the label is shown escaped on one line; nothing goes to stdout
 UNPRINTABLE_LABEL_ERROR = (
     "error: data: record #0: label 'bad\\tlabel\\nx' has an unprintable character\n"
@@ -388,26 +395,39 @@ class TestAnalyze:
         )
 
     @pytest.mark.parametrize(
-        "change",
+        "change,rows",
         [
-            # embeddings' root radius divides the coefficients as floats
-            {"hecke_poly": [-(10**309) - 1, 0, 1]},
+            # embeddings' root radius divides the coefficients as floats;
+            # 10^309 + 1 is divisible by 7 and 1 mod 3
+            (
+                {"hecke_poly": [-(10**309) - 1, 0, 1]},
+                ["2\tskipped_ramified\t\t\t\t", ANALYZED_AT_3, "7\tskipped_ramified\t\t\t\t"],
+            ),
             # the Weil check converts the coordinates to floats, whether
             # the loader keeps them as int or, for "1e309", as Fraction
-            {"ap": [{"p": 3, "split_in_F": True, "a": [str(10**309), "0"]}]},
-            {"ap": [{"p": 3, "split_in_F": True, "a": ["1e309", "0"]}]},
+            ({"ap": [{"p": 3, "split_in_F": True, "a": [str(10**309), "0"]}]}, [ANALYZED_AT_3]),
+            ({"ap": [{"p": 3, "split_in_F": True, "a": ["1e309", "0"]}]}, [ANALYZED_AT_3]),
         ],
         ids=["hecke-poly", "ap", "ap-fraction"],
     )
-    def test_float_range_overflow_is_data_error(self, capsys, tmp_path, change):
+    def test_float_range_overflow_is_data_error(self, capsys, tmp_path, change, rows):
+        # only the JSON report prints, and so runs, the Weil check
         path = tmp_path / "huge.json"
         path.write_text(json.dumps([dict(FORM, **change)]))
+        assert run(capsys, ["analyze", "--format", "json", str(path)]) == (2, "", FLOAT_RANGE_ERROR)
+        header = "label\tp\tstatus\tk_p\tordinary\tnewton_vertices\thalf_bound\n"
         assert run(capsys, ["analyze", str(path)]) == (
-            2,
-            "",
-            "error: data: record 'demo.sqrt2', p=3: hecke_poly or a_p exceeds the float range "
-            "of the Weil check\n",
+            0, header + "".join(f"demo.sqrt2\t{row}\n" for row in rows), ""
         )
+
+    def test_failing_json_report_writes_no_out_file(self, capsys, tmp_path):
+        # the Weil check raises inside emit_report, before --out is opened
+        path, out = tmp_path / "huge.json", tmp_path / "report.json"
+        path.write_text(json.dumps([dict(FORM, hecke_poly=[-(10**309) - 1, 0, 1])]))
+        assert run(capsys, ["analyze", "--format", "json", "--out", str(out), str(path)]) == (
+            2, "", FLOAT_RANGE_ERROR
+        )
+        assert not out.exists()
 
     def test_newton_below_hodge_is_data_error(self, capsys, forms_file, monkeypatch):
         hodge = hodge_polygon(FORM["d"], len(FORM["hecke_poly"]) - 1)

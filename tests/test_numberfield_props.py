@@ -1,9 +1,10 @@
-"""Property-based tests: the factorization mod p is a product of
-distinct irreducibles (checked by trial division), the gcd forms of the
-defect and of the split test agree with the factorization they replace,
-their refusals agree with the per-prime gcd(f, f') test, and the root
-finder agrees with numpy's companion-matrix roots and, bit for bit,
-with its exact-Fraction reference."""
+"""Property-based tests: long division mod p gives f = q*g + r with
+deg r < deg g, the factorization mod p is a product of distinct
+irreducibles (checked by trial division), the gcd forms of the defect
+and of the split test agree with the factorization they replace, their
+refusals agree with the per-prime gcd(f, f') test, and the root finder
+agrees with numpy's companion-matrix roots and, bit for bit, with its
+exact-Fraction reference."""
 import itertools
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import fraction_embeddings, poly_mul_mod, repeated_factor_mod_p
 from heckeslopes.numberfield import (
+    _divmod,
     _horner,
     _scaled_value,
     RamifiedPrimeError,
@@ -98,6 +100,30 @@ def test_refused_exactly_at_a_repeated_factor(f, p):
     else:
         assert k_of_p(a, f, p) == (0, False)
         splits_completely(f, p)
+
+
+@st.composite
+def division_mod_p(draw):
+    """f, g, p for long division over GF(p): f may end in zero
+    coefficients or be shorter than g, and g, possibly constant, has
+    any nonzero leading coefficient."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    coeff = st.integers(0, p - 1)
+    f = draw(st.lists(coeff, max_size=14)) + [0] * draw(st.integers(0, 3))
+    g = draw(st.lists(coeff, max_size=6)) + [draw(st.integers(1, p - 1))]
+    return f, g, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(division_mod_p())
+def test_divmod_is_long_division(fgp):
+    f, g, p = fgp
+    q, r = _divmod(f, g, p)
+    assert len(r) < len(g)  # deg r < deg g, the zero polynomial being []
+    for h in (q, r):
+        assert (not h or h[-1] != 0) and all(0 <= c < p for c in h)
+    terms = itertools.zip_longest(poly_mul_mod(q, g, p), r, f, fillvalue=0)
+    assert all((a + b - c) % p == 0 for a, b, c in terms)
 
 
 def _divides(g, f, p):

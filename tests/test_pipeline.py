@@ -82,6 +82,13 @@ def sqrt2_dict(**overrides):
     return rec
 
 
+def json_rows(analysis):
+    """The JSON report's rows of one analysis, by prime: the report is
+    where ``weil_ok`` is computed."""
+    (form,) = json.loads(emit_report([analysis], fmt="json"))["forms"]
+    return {row["p"]: row for row in form["primes"]}
+
+
 class TestSchema:
     def test_minimal_record(self):
         rec = record_from_dict(minimal_dict())
@@ -294,7 +301,7 @@ class TestAnalysis:
     def test_weil_and_half_bound(self):
         analysis = analyze_form(record_from_dict(sqrt2_dict()))
         by_p = {rep.p: rep for rep in analysis.reports}
-        assert by_p[7].weil_ok is True
+        assert json_rows(analysis)[7]["weil_ok"] is True
         assert by_p[7].half_bound == "not_applicable"  # 7 <= 2^4
         assert by_p[13].half_bound == "not_applicable"  # a_p = 0
 
@@ -333,8 +340,7 @@ class TestAnalysis:
                 ap=[{"p": 3, "split_in_F": True, "a": ["7"]}],  # |7| > 2*3 fails
             )
         )
-        rep = analyze_form(rec).reports[0]
-        assert rep.weil_ok is False
+        assert json_rows(analyze_form(rec))[3]["weil_ok"] is False
 
     def test_split_claim_cross_checked(self):
         # base field Q(sqrt 2): 3 is inert, so claiming split at 3 lies
@@ -376,7 +382,7 @@ class TestAnalysis:
             assert analysis.summary.n_analyzed > 0
 
     def test_one_polygon_per_defect_one_discriminant_per_polynomial(self, monkeypatch):
-        calls = {"frobenius_polygon": 0, "leq_strict": 0, "_bareiss_det": 0, "embeddings": 0}
+        calls = {"frobenius_polygon": 0, "leq_strict": 0, "_bareiss_det": 0, "embeddings": 0, "weil": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -393,8 +399,10 @@ class TestAnalysis:
         # each discriminant is one Bareiss determinant
         monkeypatch.setattr(numberfield, "_bareiss_det", counting("_bareiss_det", numberfield._bareiss_det))
         numberfield._discriminant.cache_clear()
-        # one root finding per Hecke polynomial, however many primes check it
+        # no Weil check where nothing prints it; one root finding per Hecke
+        # polynomial, however many primes the JSON report checks
         monkeypatch.setattr(numberfield, "embeddings", counting("embeddings", numberfield.embeddings))
+        monkeypatch.setattr(pipeline, "weil_bound_check", counting("weil", pipeline.weil_bound_check))
         numberfield._roots.cache_clear()
 
         records = load_forms(DATA / "golden_synth.json")
@@ -410,7 +418,10 @@ class TestAnalysis:
         assert calls["frobenius_polygon"] <= len(defects) + len(records)
         assert calls["leq_strict"] <= len(defects)
         assert calls["_bareiss_det"] == len(polys)
-        weil_checked = {an.record.hecke_poly for an in analyses if any(r.weil_ok is not None for r in an.reports)}
+        emit_report(analyses, fmt="tsv")
+        assert calls["embeddings"] == calls["weil"] == 0
+        emit_report(analyses, fmt="json")
+        weil_checked = {an.record.hecke_poly for an in analyses if any(r.k_p is not None for r in an.reports)}
         assert calls["embeddings"] == len(weil_checked) > 1
 
     def test_one_primality_test_per_prime_one_payload_per_polygon(self, monkeypatch):
