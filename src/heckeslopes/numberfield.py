@@ -17,13 +17,15 @@ The central quantity is::
 (0 exactly when ``a`` is a unit at every prime above ``p``; ``a = 0``
 lies in every prime and the full degree is returned with a flag).  So
 ``p`` is ordinary for ``a`` exactly when ``k_of_p`` returns
-``Defect(0, False)``.  When p does not divide disc(f) (computed once
-per polynomial), f mod p is squarefree, its factors are distinct, and
-k(p) = deg gcd(f mod p, a mod p) (Cohen, *A Course in Computational
-Algebraic Number Theory*, 3.4): ``k_of_p`` takes one gcd and never
-factors.  In the same way ``splits_completely`` counts the roots of
-``f`` mod ``p`` as deg gcd(x^p - x, f mod p).  Coordinates must be
-``int`` or ``Fraction`` (``TypeError`` otherwise).
+``Defect(0, False)``.  When p does not divide disc(f), f mod p is
+squarefree, its factors are distinct, and k(p) = deg gcd(f mod p,
+a mod p) (Cohen, *A Course in Computational Algebraic Number Theory*,
+3.4): ``k_of_p`` takes one gcd and never factors.  In the same way
+``splits_completely`` counts the roots of ``f`` mod ``p`` as
+deg gcd(x^p - x, f mod p).  Euclid's remainders build no quotient.
+disc(f) is computed once per polynomial, from the n-square Bézout
+matrix of (f, f') for f of degree n.  Coordinates must be ``int`` or
+``Fraction`` (``TypeError`` otherwise).
 
 Factorization mod p, used only by ``splitting_type`` (and so by
 callers that want the shape of ``p`` itself), is one distinct-degree
@@ -151,11 +153,24 @@ def _divmod(f, g, p):
 
 
 def _mod(f, g, p):
-    return _divmod(f, g, p)[1]
+    """``f`` mod ``g`` over GF(p), without the quotient; only each step's
+    leading entry is reduced mod p on the way, the rest once at the end."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = list(f)
+    dg = _deg(g)
+    inv = pow(g[-1], p - 2, p)
+    for top in range(len(f) - 1, dg - 1, -1):
+        coef = f[top] * inv % p
+        if coef:
+            shift = top - dg
+            for i in range(dg):
+                f[shift + i] -= coef * g[i]
+    del f[dg:]
+    return _reduce(f, p)
 
 
 def _gcd(f, g, p):
-    f, g = list(f), list(g)
     while g:
         f, g = g, _mod(f, g, p)
     return _monic(f, p)
@@ -377,21 +392,21 @@ def splits_completely(f: IntPoly, p: int) -> bool:
 # archimedean bounds
 
 def discriminant(f: IntPoly) -> int:
-    """Exact discriminant of an integer polynomial via the Sylvester
-    resultant of (f, f'), computed fraction-free (Bareiss)."""
-    f = list(f)
+    """Exact discriminant of an integer polynomial, trailing zero
+    coefficients ignored: the determinant of the n-square Bézout matrix
+    of (f, f'), computed fraction-free (Bareiss), is lc(f)^2 disc(f)."""
+    f = _trim(list(f))
     if len(f) < 2:
         raise ValueError("discriminant needs degree >= 1")
     n = _deg(f)
-    df = [i * c for i, c in enumerate(f)][1:]
-    # the (2n - 1)-square Sylvester matrix: n - 1 shifts of f, n of f'
-    rows = [[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
-    rows += [[0] * i + df[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    res = _bareiss_det(rows)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    lead = f[-1]
-    assert res % lead == 0
-    return sign * (res // lead)
+    df = [i * c for i, c in enumerate(f)][1:] + [0]
+    # (f(x) f'(y) - f(y) f'(x)) / (x - y) = sum of b_ij x^i y^j, where
+    # b_ij = b_(i-1)(j+1) + f_(j+1) f'_i - f_i f'_(j+1), and 0 off the matrix
+    rows, above = [], [0] * (n + 1)
+    for i in range(n):
+        above = [above[j + 1] + f[j + 1] * df[i] - f[i] * df[j + 1] for j in range(n)] + [0]
+        rows.append(above[:n])
+    return _bareiss_det(rows) // f[-1] ** 2
 
 
 # one Bareiss determinant per polynomial, however many primes ask

@@ -39,7 +39,6 @@ prime bound grows; report output carries that caveat verbatim.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from collections import Counter
@@ -220,6 +219,7 @@ _OPTIONAL_KEYS = {
     "galois_degree",
     "interact",
 }
+_AP_KEYS = {"p", "split_in_F", "a"}
 
 
 def _fail(label: str, field: str, problem: str) -> None:
@@ -358,35 +358,35 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
     entries = []
     seen_p = set()
     for j, item in enumerate(ap_raw):
-        where = f"ap[{j}]"
-        if not isinstance(item, dict) or set(item) != {"p", "split_in_F", "a"}:
-            _fail(label, where, "must be an object with keys p, split_in_F, a")
+        if not isinstance(item, dict) or item.keys() != _AP_KEYS:
+            _fail(label, f"ap[{j}]", "must be an object with keys p, split_in_F, a")
         p = item["p"]
         try:
             prime = isinstance(p, int) and not isinstance(p, bool) and is_prime(p)
         except ValueError as exc:
-            _fail(label, f"{where}.p", str(exc))
+            _fail(label, f"ap[{j}].p", str(exc))
         if not prime:
-            _fail(label, f"{where}.p", f"{p!r} is not a prime")
+            _fail(label, f"ap[{j}].p", f"{p!r} is not a prime")
         if p in seen_p:
-            _fail(label, f"{where}.p", f"duplicate prime {p}")
+            _fail(label, f"ap[{j}].p", f"duplicate prime {p}")
         seen_p.add(p)
-        if not isinstance(item["split_in_F"], bool):
-            _fail(label, f"{where}.split_in_F", "must be a boolean")
+        split = item["split_in_F"]
+        if not isinstance(split, bool):
+            _fail(label, f"ap[{j}].split_in_F", "must be a boolean")
         a_raw = item["a"]
         if not isinstance(a_raw, list) or len(a_raw) != k_f:
-            _fail(label, f"{where}.a", f"must be a list of {k_f} rationals")
+            _fail(label, f"ap[{j}].a", f"must be a list of {k_f} rationals")
         coords = []
         for c in a_raw:
             if isinstance(c, str):
                 try:
                     c = int(c) if _INT_RE.fullmatch(c) else _exact(c)
                 except (ValueError, ZeroDivisionError):
-                    _fail(label, f"{where}.a", f"bad rational {c!r}")
+                    _fail(label, f"ap[{j}].a", f"bad rational {c!r}")
             elif not isinstance(c, int) or isinstance(c, bool):
-                _fail(label, f"{where}.a", "entries must be rational strings or integers")
+                _fail(label, f"ap[{j}].a", "entries must be rational strings or integers")
             coords.append(c)
-        entries.append(ApEntry(p=p, split_in_F=item["split_in_F"], a=tuple(coords)))
+        entries.append(ApEntry(p, split, tuple(coords)))
 
     return FormRecord(
         label=label,
@@ -641,16 +641,32 @@ def _weil_ok(rec: FormRecord, entry: ApEntry) -> bool:
         raise DataError(f"record {rec.label!r}, p={entry.p}: {problem}") from exc
 
 
+def _per_polygon(fn):
+    """``fn`` once per distinct polygon, looked up by object first: the rows
+    of a record share one polygon per defect, and the analyses keep each
+    alive for the call, so only a new object is hashed, by value."""
+    by_id: dict = {}
+    by_value: dict = {}
+
+    def once(ms):
+        out = by_id.get(id(ms))
+        if out is None:
+            out = by_value.get(ms)
+            if out is None:
+                out = by_value[ms] = fn(ms)
+            by_id[id(ms)] = out
+        return out
+
+    return once
+
+
 def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
     """Serialize analyses deterministically (rows sorted by label then
     prime) as TSV or JSON; output is byte-identical across runs.  Only
     JSON prints ``weil_ok``: it runs the Weil check on each row with a
     defect, a ``DataError`` beyond the float range."""
-    # the rows of a record share one polygon per k: one payload for each
     if fmt == "tsv":
-        newton_json = functools.lru_cache(maxsize=None)(
-            lambda ms: json.dumps(vertices_payload(ms), separators=(",", ":"))
-        )
+        newton_json = _per_polygon(lambda ms: json.dumps(vertices_payload(ms), separators=(",", ":")))
         lines = ["\t".join(_TSV_COLUMNS)]
         rows = sorted(
             ((an.record.label, rep) for an in analyses for rep in an.reports),
@@ -674,7 +690,7 @@ def emit_report(analyses: Sequence[FormAnalysis], fmt: str = "tsv") -> bytes:
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        payload = functools.lru_cache(maxsize=None)(vertices_payload)
+        payload = _per_polygon(vertices_payload)
         forms = []
         for an in sorted(analyses, key=lambda a: a.record.label):
             s, rec = an.summary, an.record

@@ -21,7 +21,8 @@ A multiset is stored as its sorted runs ``(slope, multiplicity)``, one
 per distinct slope, so the geometry (``vertices``, ``integral``,
 ``rank``, ``leq``) costs O(runs) however large the multiplicities
 are; only ``slopes``, iteration, ``str`` and ``cumulative_points``
-expand the list.
+expand the list.  ``leq`` walks the runs in integers, each slope scaled
+by the common denominator of both polygons' slopes.
 
 ``frobenius_polygon`` builds the standard two-block families used for
 crystalline Frobenius slopes of eigenforms, in closed form, and
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction, str]
@@ -210,13 +211,16 @@ class SlopeMultiset:
         """The right-endpoint heights of both polygons when ``self.leq(other)``,
         else None.  Both polygons are linear between the union of their
         breakpoints, so the heights are compared only there, in one
-        merge walk over the two run lists."""
+        merge walk over the two run lists, in integers: every slope
+        times the common denominator of all of them."""
         if self.rank != other.rank:
             return None
-        mine, theirs = self._runs, other._runs
+        den = lcm(*(s.denominator for s, _ in self._runs + other._runs))
+        mine = [(s.numerator * (den // s.denominator), m) for s, m in self._runs]
+        theirs = [(s.numerator * (den // s.denominator), m) for s, m in other._runs]
         i = j = 0
         used_a = used_b = 0  # slopes of the current runs already walked
-        a = b = Fraction(0)
+        a = b = 0
         while i < len(mine):
             (sa, ma), (sb, mb) = mine[i], theirs[j]
             step = min(ma - used_a, mb - used_b)
@@ -230,7 +234,7 @@ class SlopeMultiset:
                 i, used_a = i + 1, 0
             if used_b == mb:
                 j, used_b = j + 1, 0
-        return a, b
+        return Fraction(a, den), Fraction(b, den)
 
 
 # an exponent beyond Python's own limit on integer strings, 4300 digits,
@@ -275,7 +279,8 @@ def frobenius_polygon(d: int, k: int, i: int, weight: int = 2) -> SlopeMultiset:
 
     In closed form, with ``s = 1`` (weight 2) or ``2`` (weight 3): slope
     ``j*s`` with multiplicity ``(k-i) * C(d, j)`` for ``j = 0..d``, plus
-    slope ``d*s/2`` with multiplicity ``i * 2**d``.
+    slope ``d*s/2`` with multiplicity ``i * 2**d``, which joins the run
+    of ``j = d/2`` when ``d`` is even.  The runs come out sorted.
     """
     if d < 1:
         raise ValueError("frobenius_polygon needs d >= 1")
@@ -286,8 +291,13 @@ def frobenius_polygon(d: int, k: int, i: int, weight: int = 2) -> SlopeMultiset:
     if weight not in (2, 3):
         raise ValueError("weight must be 2 or 3")
     step = 1 if weight == 2 else 2
-    ordinary = [(Fraction(j * step), (k - i) * comb(d, j)) for j in range(d + 1)]
-    return SlopeMultiset._from_pairs(ordinary + [(Fraction(d * step, 2), i * 2**d)])
+    middle = i * 2**d
+    runs = [(j * step, (k - i) * comb(d, j) + (middle if 2 * j == d else 0)) for j in range(d + 1)]
+    if d % 2:  # d*s/2 lies between the runs of (d - 1)/2 and (d + 1)/2
+        runs.insert((d + 1) // 2, (Fraction(d * step, 2), middle))
+    out = SlopeMultiset.__new__(SlopeMultiset)
+    out._runs = tuple([(Fraction(s), m) for s, m in runs if m])
+    return out
 
 
 def hodge_polygon(d: int, k: int, weight: int = 2) -> SlopeMultiset:

@@ -109,6 +109,42 @@ def repeated_factor_mod_p(f, p: int) -> bool:
     return len(a) > 1
 
 
+def sylvester_discriminant(f) -> int:
+    """Reference for ``numberfield.discriminant``: (-1)^(n(n-1)/2)
+    Res(f, f') / lc(f) for f of degree n >= 1 (trailing zero
+    coefficients ignored), the resultant being the determinant of the
+    (2n - 1)-square Sylvester matrix of (f, f'), by Gaussian
+    elimination over ``Fraction``."""
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
+    df = [i * c for i, c in enumerate(f)][1:]
+    size = 2 * n - 1
+    # n - 1 shifts of f, n of f', coefficients in descending order
+    rows = [[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + df[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    m = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, size):
+            factor = m[r][k] / m[k][k]
+            if factor:
+                for c in range(k, size):
+                    m[r][c] -= factor * m[k][c]
+    disc = (-1) ** (n * (n - 1) // 2) * det / f[-1]
+    if disc.denominator != 1:
+        raise ArithmeticError(f"Res(f, f') of {f} is not divisible by the leading coefficient")
+    return int(disc)
+
+
 def semicircle_tail(k: int, t: int, n_grid: int = 1 << 16) -> float:
     """P(|y_1 * ... * y_t| < 2^(t-k)) for i.i.d. semicircle samples.
 

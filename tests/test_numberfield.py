@@ -121,10 +121,18 @@ class TestDiscriminant:
             ((-2, 0, 0, 1), -108),
             ((5, 1), 1),
             ((1, 0, 0, 0, 1), 256),
+            ((-1, -1, 0, 0, 0, 1), 2869),
+            ((3, 0, 5), -60),
         ],
     )
     def test_known_values(self, f, expect):
         assert discriminant(f) == expect
+
+    def test_trailing_zero_coefficients_are_ignored(self):
+        assert discriminant([-2, 0, 1, 0]) == 8
+        for f in ([1, 0], [0, 0], [5], []):
+            with pytest.raises(ValueError, match="degree >= 1"):
+                discriminant(f)
 
 
 class TestElementInPrime:

@@ -1,5 +1,7 @@
 """Property-based tests: long division mod p gives f = q*g + r with
-deg r < deg g, the factorization mod p is a product of distinct
+deg r < deg g, the remainder alone and the monic gcd agree with it, the
+discriminant agrees with a Sylvester determinant over Fraction, the
+factorization mod p is a product of distinct
 irreducibles (checked by trial division), the gcd forms of the defect
 and of the split test agree with the factorization they replace, their
 refusals agree with the per-prime gcd(f, f') test, and the root finder
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_embeddings, poly_mul_mod, repeated_factor_mod_p
+from conftest import fraction_embeddings, poly_mul_mod, repeated_factor_mod_p, sylvester_discriminant
 from heckeslopes.numberfield import (
     _divmod,
+    _gcd,
+    _mod,
     _horner,
     _scaled_value,
     RamifiedPrimeError,
@@ -115,8 +119,8 @@ def division_mod_p(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(division_mod_p())
-def test_divmod_is_long_division(fgp):
+@given(division_mod_p(), st.lists(st.integers(0, 1000), max_size=3))
+def test_divmod_is_long_division(fgp, low):
     f, g, p = fgp
     q, r = _divmod(f, g, p)
     assert len(r) < len(g)  # deg r < deg g, the zero polynomial being []
@@ -124,6 +128,37 @@ def test_divmod_is_long_division(fgp):
         assert (not h or h[-1] != 0) and all(0 <= c < p for c in h)
     terms = itertools.zip_longest(poly_mul_mod(q, g, p), r, f, fillvalue=0)
     assert all((a + b - c) % p == 0 for a, b, c in terms)
+    assert _mod(f, g, p) == r
+    d = _gcd(f, g, p)
+    assert d[-1] == 1 and all(0 <= c < p for c in d)
+    assert _divides(d, f, p) and _divides(d, g, p)
+    # a planted common factor h: gcd(f h, g h) = gcd(f, g) h
+    h = [c % p for c in low] + [1]
+    assert _gcd(poly_mul_mod(f, h, p), poly_mul_mod(g, h, p), p) == poly_mul_mod(d, h, p)
+
+
+@st.composite
+def integer_poly(draw):
+    """Degree 1 to 14, leading coefficient +-1 .. +-5, perhaps followed
+    by zero coefficients: random coefficients, or a random cofactor
+    times the square of a monic factor, whose discriminant is 0."""
+    n = draw(st.integers(1, 14))
+    lead = draw(st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+    if n >= 2 and draw(st.booleans()):
+        dh = draw(st.integers(1, n // 2))
+        h = draw(st.lists(st.integers(-3, 3), min_size=dh, max_size=dh)) + [1]
+        f = draw(st.lists(coeff_st, min_size=n - 2 * dh, max_size=n - 2 * dh)) + [lead]
+        for _ in range(2):
+            f = [sum(f[i] * h[k - i] for i in range(len(f)) if 0 <= k - i < len(h)) for k in range(len(f) + dh)]
+    else:
+        f = draw(st.lists(coeff_st, min_size=n, max_size=n)) + [lead]
+    return f + [0] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_poly())
+def test_discriminant_is_the_sylvester_determinant(f):
+    assert discriminant(f) == sylvester_discriminant(f)
 
 
 def _divides(g, f, p):

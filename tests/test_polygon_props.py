@@ -190,6 +190,15 @@ run_slope_st = st.sampled_from(
     [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 )
 
+# numerators over distinct large primes, so that the common denominator
+# of two polygons is a product of several of them; mixed with the run
+# slopes above, so that runs and ties still occur
+coprime_slope_st = run_slope_st | st.builds(
+    Fraction,
+    st.integers(-3 * 10**6, 3 * 10**6),
+    st.sampled_from([1000003, 1000033, 1000037, 1000039, 2**31 - 1, 2**61 - 1]),
+)
+
 
 def _leq_by_partial_sums(xs, ys):
     if len(xs) != len(ys):
@@ -215,11 +224,11 @@ def _vertices_by_list(xs):
 
 
 @st.composite
-def equal_rank_lists(draw):
+def equal_rank_lists(draw, slope_st):
     n = draw(st.integers(0, 10))
     return (
-        draw(st.lists(run_slope_st, min_size=n, max_size=n)),
-        draw(st.lists(run_slope_st, min_size=n, max_size=n)),
+        draw(st.lists(slope_st, min_size=n, max_size=n)),
+        draw(st.lists(slope_st, min_size=n, max_size=n)),
     )
 
 
@@ -233,7 +242,7 @@ class TestRunsMatchExpandedLists:
         assert s.vertices() == _vertices_by_list(xs)
         assert (s.rank, s.integral) == (len(xs), sum(xs, Fraction(0)))
 
-    @given(equal_rank_lists())
+    @given(equal_rank_lists(run_slope_st) | equal_rank_lists(coprime_slope_st))
     def test_leq_equal_rank(self, pair):
         xs, ys = pair
         a, b = SlopeMultiset(xs), SlopeMultiset(ys)
@@ -241,8 +250,15 @@ class TestRunsMatchExpandedLists:
         assert a.leq_strict(b) == (
             sum(xs, Fraction(0)) == sum(ys, Fraction(0)) and _leq_by_partial_sums(xs, ys)
         )
+        ends = a._walk_below(b)
+        if ends is not None:  # the exact right endpoints, as Fractions
+            assert ends == (sum(xs, Fraction(0)), sum(ys, Fraction(0)))
+            assert all(type(y) is Fraction for y in ends)
 
-    @given(st.lists(run_slope_st, max_size=8), st.lists(run_slope_st, max_size=8))
+    @given(
+        st.lists(run_slope_st, max_size=8) | st.lists(coprime_slope_st, max_size=8),
+        st.lists(run_slope_st, max_size=8) | st.lists(coprime_slope_st, max_size=8),
+    )
     def test_leq_any_rank(self, xs, ys):
         assert SlopeMultiset(xs).leq(SlopeMultiset(ys)) == _leq_by_partial_sums(xs, ys)
 
