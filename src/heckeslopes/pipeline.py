@@ -275,16 +275,9 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
     field_poly = _monic_poly(label, "field_poly", obj["field_poly"], degree=d)
     level_norm = _positive_int(label, "level_norm", obj["level_norm"])
 
-    weight = obj["weight"]
-    if (
-        not isinstance(weight, list)
-        or not weight
-        or not all(isinstance(w, int) and not isinstance(w, bool) for w in weight)
-    ):
-        _fail(label, "weight", "must be a nonempty list of integers")
+    weight = _int_list(label, "weight", obj["weight"], length=d)
     if len(set(weight)) != 1 or weight[0] not in (2, 3):
         _fail(label, "weight", "entries must all equal 2 or all equal 3")
-    weight = tuple(weight)
 
     hecke_poly = _monic_poly(label, "hecke_poly", obj["hecke_poly"])
     k_f = len(hecke_poly) - 1

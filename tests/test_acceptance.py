@@ -372,6 +372,7 @@ def test_criterion_7_classifier_scenarios():
             _scenario(
                 d=3,
                 field_poly=[-1, -3, 0, 1],
+                weight=[2, 2, 2],
                 hecke_poly=[-1, -3, 0, 1],
                 k_f_circ=3,
                 galois_gens=["()"],

@@ -1,8 +1,5 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +13,7 @@ from heckeslopes import pipeline
 from heckeslopes.cli import main
 from heckeslopes.pipeline import analyze_form, emit_report, load_forms
 from heckeslopes.polygon import SlopeMultiset, hodge_polygon
+from stdlib_contract import python
 
 FORM = {
     "label": "demo.sqrt2",
@@ -580,66 +578,9 @@ def test_console_script_smoke(tmp_path):
         target = tomllib.load(fh)["project"]["scripts"]["heckeslopes"]
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "polygon", "--op", "dual", "--a", "0,1"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        cwd=tmp_path,
-        env=env,
-    )
+    proc = python(tmp_path, "-c", wrapper, "polygon", "--op", "dual", "--a", "0,1", timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "-1,0\n"
-
-
-def run_fresh(script, argv, cwd, flags=()):
-    """Run ``python [flags] -c script argv...`` in a fresh interpreter
-    that imports this checkout's ``src``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *flags, "-c", script, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        cwd=cwd,
-        env=env,
-    )
-
-
-POLYGON_LOADS = ("_errors", "cli", "polygon")
-PIPELINE_LOADS = ("_arith", "_errors", "cli", "galois", "numberfield", "pipeline", "polygon")
-
-
-@pytest.mark.parametrize(
-    "argv, loads",
-    [
-        (["polygon", "--op", "dual", "--a", "0,1"], POLYGON_LOADS),
-        (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ("_arith", "_errors", "cli", "galois", "polygon")),
-        (["classify", "FORMS"], PIPELINE_LOADS),
-        (["analyze", "FORMS"], PIPELINE_LOADS),
-        (["table", "--max-k", "3"], (*POLYGON_LOADS, "satotate")),
-        (["stc", "--k", "3", "--t", "2"], (*POLYGON_LOADS, "satotate")),
-    ],
-    ids=["polygon", "slope", "classify", "analyze", "table", "stc"],
-)
-def test_heavy_imports_only_where_used(forms_file, argv, loads):
-    """No command loads numpy, SciPy or dataclasses, and each loads only
-    the heckeslopes submodules it runs: a fresh process lists what a
-    command left in ``sys.modules``."""
-    script = (
-        "import sys; from heckeslopes.cli import main; code = main(sys.argv[1:]); "
-        "print('loaded=' + ','.join(m for m in ('numpy', 'scipy', 'dataclasses') if m in sys.modules), "
-        "file=sys.stderr); "
-        "print('submodules=' + ','.join(sorted(m.split('.', 1)[1] for m in sys.modules "
-        "if m.startswith('heckeslopes.'))), file=sys.stderr); sys.exit(code)"
-    )
-    argv = [str(forms_file) if a == "FORMS" else a for a in argv]
-    proc = run_fresh(script, argv, forms_file.parent)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-2:] == ["loaded=", "submodules=" + ",".join(sorted(loads))]
+    assert proc.stdout == b"-1,0\n"
 
 
 # the package root's exports, by the submodule that defines each
@@ -694,30 +635,9 @@ assert galois.ClosureCapExceeded is _errors.ClosureCapExceeded
 assert {{"SchemaError", "DataError"}} <= set(pipeline.__all__) and "ClosureCapExceeded" in galois.__all__
 print(len(namespace) - 1)
 """
-    proc = run_fresh(script, [], tmp_path)
+    proc = python(tmp_path, "-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "30\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["stc", "--k", "3", "--t", "2", "--method", "mc"],
-        ["table", "--method", "mc", "--max-k", "3"],
-    ],
-    ids=["stc", "table"],
-)
-def test_mc_without_numpy_is_one_usage_line(tmp_path, argv):
-    """``--method mc`` is one usage line, whether or not numpy is
-    installed."""
-    script = (
-        "import sys; sys.modules['numpy'] = None; from heckeslopes.cli import main; "
-        "sys.exit(main(sys.argv[1:]))"
-    )
-    proc = run_fresh(script, argv, tmp_path)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: usage: ")
+    assert proc.stdout == b"30\n"
 
 
 def test_newton_below_hodge_is_data_error_under_optimize(forms_file):
@@ -728,7 +648,7 @@ def test_newton_below_hodge_is_data_error_under_optimize(forms_file):
         f"pipeline.frobenius_polygon = lambda d, k, i, weight=2: SlopeMultiset({BELOW_HODGE_SLOPES}); "
         "print(sys.flags.optimize); sys.exit(main(sys.argv[1:]))"
     )
-    proc = run_fresh(script, ["analyze", str(forms_file)], forms_file.parent, flags=["-O"])
-    assert proc.stdout == "1\n"
+    proc = python(forms_file.parent, "-c", script, "analyze", str(forms_file), flags=["-O"], timeout=60)
+    assert proc.stdout == b"1\n"
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == NEWTON_BELOW_HODGE_ERROR
+    assert proc.stderr == NEWTON_BELOW_HODGE_ERROR.encode()

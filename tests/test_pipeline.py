@@ -175,9 +175,10 @@ class TestSchema:
         "mutation,fragment",
         [
             (dict(ap=[{"p": 3, "split_in_F": True, "a": ["1", "2"]}]), "a"),
-            (dict(weight=[2, 3]), "weight"),
+            (dict(d=2, field_poly=[-2, 0, 1], weight=[2, 3]), "entries must all equal"),
             (dict(weight=[4]), "weight"),
             (dict(weight=[]), "weight"),
+            (dict(weight=[2, 2]), "weight"),
             (dict(hecke_poly=[1, 2]), "hecke_poly"),
             (dict(field_poly=[2, 2]), "field_poly"),
             (dict(k_f_circ=3, hecke_poly=[-2, 0, 0, 0, 1]), "k_f_circ"),
@@ -348,6 +349,7 @@ class TestAnalysis:
             minimal_dict(
                 d=2,
                 field_poly=[-2, 0, 1],
+                weight=[2, 2],
                 ap=[{"p": 3, "split_in_F": True, "a": ["1"]}],
             )
         )
@@ -359,6 +361,7 @@ class TestAnalysis:
             minimal_dict(
                 d=2,
                 field_poly=[-2, 0, 1],
+                weight=[2, 2],
                 ap=[{"p": 7, "split_in_F": True, "a": ["1"]}],
             )
         )
