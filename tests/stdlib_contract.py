@@ -112,10 +112,13 @@ def optimized_and_synth(tmp):
 
 
 def classify_galois(tmp):
-    """classify reproduces the golden Galois classification; classify and
-    slope give S_10 and A_10 (10! and 10!/2 elements, more than the
-    closure cap of 10^6) their invariants."""
+    """classify reproduces the golden Galois classification."""
     expect(cli(tmp, "classify", str(DATA / "golden_galois.json")), out=golden("golden_classify.tsv"))
+
+
+def s10_and_a10(tmp):
+    """classify and slope give S_10 and A_10 (10! and 10!/2 elements, more
+    than the closure cap of 10^6) their invariants."""
     base = dict(RECORD, hecke_poly=[-1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1], galois_degree=10)
     forms = write(tmp, "degree10.json", dict(base, label="S10", galois_gens=["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]),
                   dict(base, label="A10", galois_gens=["(1 2 3 4 5 6 7 8 9)", "(0 1 2)"]))
@@ -166,8 +169,7 @@ def oversized_metadata(tmp):
 
 def large_slopes(tmp):
     """slope gives S_60 and A_60 their invariants in closed form (no
-    histogram over p(60) = 966467 cycle types), lists S_8 x C_2 (80640
-    elements) from its chain, and refuses C_2^200 at the cap."""
+    histogram over p(60) = 966467 cycle types)."""
     s60 = "(" + " ".join(map(str, range(60))) + ");(0 1)"
     a60 = "(" + " ".join(map(str, range(1, 60))) + ");(0 1 2)"
     for gens, extra, out in (
@@ -176,6 +178,11 @@ def large_slopes(tmp):
         (a60, ["--min"], "lambda_min=30 sigma_min=1/2 bisecting=true bisecting_fraction=1/900"),
     ):
         expect(cli(tmp, "slope", "--gens", gens, "--n", "60", *extra, timeout=10), out=lines(out, sep="\n"))
+
+
+def chain_and_cap(tmp):
+    """slope lists S_8 x C_2 (80640 elements) from its chain and refuses
+    C_2^200 at the cap, before listing."""
     expect(cli(tmp, "slope", "--gens", "(0 1 2 3 4 5 6 7);(0 1);(8 9)", "--n", "10"),
            out=lines("lambda=8 sigma=1/5 bisecting=false bisecting_fraction=0", sep="\n"))
     gens = ";".join(f"({2 * i} {2 * i + 1})" for i in range(200))
@@ -190,6 +197,13 @@ def demos(tmp):
     for demo in found:
         if not expect(python(tmp, str(demo))):
             raise ContractError(f"{demo.name} printed nothing")
+
+
+def commands_run(tmp):
+    """classify, polygon and slope run; polygon prints through ``entry``."""
+    expect(cli(tmp, "classify", FORMS))
+    expect(cli(tmp, "polygon", "--op", "dual", "--a", "0,1"), out=b"-1,0\n")
+    expect(cli(tmp, "slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"))
 
 
 # the heckeslopes submodules each command loads, beyond _errors and cli
@@ -226,11 +240,10 @@ sys.exit(code)
 def modules(tmp):
     """``import heckeslopes`` loads no submodule; each command runs and
     loads exactly the submodules it needs, and none imports numpy, SciPy
-    or dataclasses; ``polygon`` prints through ``entry``."""
+    or dataclasses."""
     for argv, loads in MODULE_LOADS:
         want = f"root [] loaded {sorted(['_errors', 'cli', *loads])} tried []\n".encode()
         expect(python(tmp, "-c", MODULE_PROBE, *argv), err=want)
-    expect(cli(tmp, "polygon", "--op", "dual", "--a", "0,1"), out=b"-1,0\n")
 
 
 def series_and_mc(tmp):
@@ -242,8 +255,8 @@ def series_and_mc(tmp):
 
 
 CHECKS = [
-    hidden_packages, golden_reports, optimized_and_synth, classify_galois, wreath_metadata,
-    oversized_metadata, large_slopes, demos, modules, series_and_mc,
+    hidden_packages, golden_reports, optimized_and_synth, classify_galois, s10_and_a10, wreath_metadata,
+    oversized_metadata, large_slopes, chain_and_cap, demos, commands_run, modules, series_and_mc,
 ]
 
 
