@@ -31,7 +31,8 @@ gives
 Write s = -(2n+1) + 2d.  The Laurent series of Gamma at -n and at the
 half-integer 3/2 - n give M(s) = K_n d^-1 exp(G_n(d)) with
 K_n = (-1)^n / (n! pi F_n(0)), where F_0(d) = 1/2 + d and
-F_n(d) = prod_{0<j<n} (1/2 - j + d)^-1 for n >= 1, and
+F_n(d) = prod_{0<j<n} (1/2 - j + d)^-1 for n >= 1, so that
+kappa_n = pi K_n is 2 for n = 0 and -(2n-3)!!/(n! 2^(n-1)) for n >= 1, and
 
     G_n(d) = 2 log2 d + sum_{m>=2} (-1)^m zeta(m) (2 - 2^m)/m d^m
              + sum_{m>=1} H_n^(m) d^m/m - log(F_n(d)/F_n(0))
@@ -41,7 +42,9 @@ the generalized harmonic number).  Residue n is therefore
 
     2 K_n^t 2^(-k(2n+1)) [d^(t-1)] exp(t G_n(d) + 2k log2 d) / ((2n+1) - 2d),
 
-which needs only log 2, pi, zeta(2..t) and rationals.  It is summed in
+which needs only log 2, pi, zeta(2..t) and rationals.  Its rational
+scale 2 kappa_n^t 2^(-k(2n+1)) is built as an integer numerator and
+denominator and divided once, in decimal and in float.  It is summed in
 40-digit decimal arithmetic; zeta(m) comes from Euler-Maclaurin
 summation.  ``abs_error`` of a series value is the sum of three bounds:
 
@@ -77,6 +80,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import asin, exp, factorial, lgamma, log, pi, prod, sqrt, tanh
+from operator import mul
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -137,8 +141,8 @@ class CEstimate(_CEstimateFields):
     ``abs_error`` is the tail, working-precision and rounding bounds of
     the module docstring for the series, and a floating-point bound for
     closed forms.  ``seed`` is always None: nothing is sampled.  A value
-    outside (0, 1] or a negative ``abs_error`` raises ``ValueError``,
-    also from ``_make`` and ``_replace``.
+    outside (0, 1] or a negative or NaN ``abs_error`` raises
+    ``ValueError``, also from ``_make`` and ``_replace``.
     """
 
     __slots__ = ()
@@ -152,7 +156,7 @@ class CEstimate(_CEstimateFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.value <= 1.0:
             raise ValueError(f"tail constant out of (0, 1]: {self.value}")
-        if self.abs_error < 0.0:
+        if not self.abs_error >= 0.0:
             raise ValueError("abs_error must be >= 0")
         return self
 
@@ -201,8 +205,9 @@ def _zeta(m: int) -> Decimal:
 def _exp_series(a: list) -> list:
     """The first len(a) Taylor coefficients of exp(sum_{m>=1} a_m x^m)."""
     b = [1]
+    ja = [j * a[j] for j in range(1, len(a))]
     for m in range(1, len(a)):
-        b.append(sum(j * a[j] * b[m - j] for j in range(1, m + 1)) / m)
+        b.append(sum(map(mul, ja, reversed(b))) / m)
     return b
 
 
@@ -231,6 +236,14 @@ def _g_coefficient(n: int, m: int) -> tuple[Decimal, float]:
         )
 
 
+def _scale(k: int, t: int, n: int) -> tuple[int, int]:
+    """2 kappa_n^t 2^(-k(2n+1)), the rational scale of residue n, as an
+    integer numerator and denominator (not reduced)."""
+    if n == 0:
+        return 2 ** (t + 1), 2**k
+    return 2 * (-prod(range(1, 2 * n - 2, 2))) ** t, factorial(n) ** t << (t * (n - 1) + k * (2 * n + 1))
+
+
 def _residue(k: int, t: int, n: int, pi_t: Decimal):
     """Residue n of the series for c(k, t) and a bound on its
     working-precision error (see the module docstring)."""
@@ -244,23 +257,20 @@ def _residue(k: int, t: int, n: int, pi_t: Decimal):
     if t > 1:
         a[1] += 2 * k * _log2()
         parts[1] += 2 * k * log(2)
-    kappa = 2 if n == 0 else Fraction((-1) ** n, factorial(n)) * prod(
-        Fraction(1, 2) - j for j in range(1, n)
-    )
-    scale = Fraction(2 * kappa**t, 2 ** (k * q))
+    num, den = _scale(k, t, n)
     ratio = Decimal(2) / q
     acc = Decimal(0)
     for coefficient in _exp_series(a):
         acc = acc * ratio + coefficient
-    residue = _decimal(scale) * acc / q / pi_t
+    residue = Decimal(num) / den * acc / q / pi_t
 
     sizes = _exp_series([abs(float(x)) for x in a])
     majorant = sum(
         (2 / q) ** (t - 1 - i) / q
-        * ((t + 2) ** 2 * sizes[i] + sum(parts[m] * sizes[i - m] for m in range(1, i + 1)))
+        * ((t + 2) ** 2 * sizes[i] + sum(map(mul, parts[1:], reversed(sizes[:i]))))
         for i in range(t)
     )
-    return residue, 2 * _ETA * abs(float(scale)) / float(pi_t) * majorant
+    return residue, 2 * _ETA * abs(num / den) / float(pi_t) * majorant
 
 
 def _tail_bound(k: int, t: int, n: int) -> float:

@@ -191,6 +191,34 @@ def _mellin_semicircle(s):
     return mpmath.gamma((s + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(s / 2 + 2))
 
 
+def exp_series_loop(a: list) -> list:
+    """The first len(a) Taylor coefficients of exp(sum_{m>=1} a_m x^m)
+    by m b_m = sum_{j=1..m} j a_j b_(m-j), each term formed and summed
+    in order of j: ``satotate._exp_series`` must agree to the last bit."""
+    b = [1]
+    for m in range(1, len(a)):
+        b.append(sum(j * a[j] * b[m - j] for j in range(1, m + 1)) / m)
+    return b
+
+
+@lru_cache(maxsize=None)
+def _kappa(n: int) -> Fraction:
+    """pi K_n of the satotate module docstring, straight from its
+    definition: 2 for n = 0, (-1)^n / n! * prod_{0<j<n} (1/2 - j) after."""
+    if n == 0:
+        return Fraction(2)
+    product = Fraction(1)
+    for j in range(1, n):
+        product *= Fraction(1, 2) - j
+    return Fraction((-1) ** n, factorial(n)) * product
+
+
+def residue_scale(k: int, t: int, n: int) -> Fraction:
+    """The rational scale 2 kappa_n^t / 2^(k(2n+1)) of residue n of the
+    series for c(k, t), in ``Fraction`` arithmetic."""
+    return Fraction(2 * _kappa(n) ** t, 2 ** (k * (2 * n + 1)))
+
+
 @lru_cache(maxsize=None)
 def mellin_residue(k: int, t: int, n: int):
     """Res_{s=-(2n+1)} 2^(ks) E[X^s]^t / (-s), at 40 digits, as the

@@ -247,9 +247,12 @@ def modules(tmp):
 
 
 def series_and_mc(tmp):
-    """table and stc run the series; ``--method mc`` is one usage line."""
+    """table and stc print the series' exact bytes; ``--method mc`` is one usage line."""
     expect(cli(tmp, "table", "--max-k", "8"), out=golden("golden_table.tsv"))
-    expect(cli(tmp, "stc", "--k", "4", "--t", "2"))
+    expect(cli(tmp, "stc", "--k", "4", "--t", "2"), out=(
+        b'{"abs_error": 7.126770501346521e-17, "k": 4, "method": "series", '
+        b'"samples_or_nodes": 6, "seed": null, "t": 2, "value": 0.3202429367885303}\n'
+    ))
     for argv in (["stc", "--k", "3", "--t", "2", "--method", "mc"], ["table", "--method", "mc", "--max-k", "3"]):
         one_line(cli(tmp, *argv), 1, b"error: usage: ")
 

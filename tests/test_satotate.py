@@ -1,5 +1,8 @@
 """Semicircle distribution and product-tail constants."""
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,9 +10,11 @@ import pytest
 
 from conftest import (
     TAIL_TRUTH,
+    exp_series_loop,
     mellin_residue,
     mellin_tail,
     monte_carlo_tail,
+    residue_scale,
     semicircle_sample,
     semicircle_tail,
 )
@@ -24,6 +29,8 @@ from heckeslopes.satotate import (
     tail_constant_closed_form,
     tail_table,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # the closed-form single-factor column, k = 2..6, printed in reports
 COLUMN = [0.315, 0.159, 0.0795, 0.0398, 0.0199]
@@ -200,6 +207,34 @@ class TestSeries:
         for n in (1, 2):
             assert abs(mellin_residue(k, t, n)) <= satotate._tail_bound(k, t, n)
 
+    def test_exact_golden(self):
+        # every field of tail_table(20) and four large series entries,
+        # floats as hex: the values and bounds must not change by a bit
+        entries = [est for row in tail_table(20) for est in row]
+        entries += [tail_constant(k, t) for k, t in [(45, 20), (60, 2), (60, 30), (60, 59)]]
+        out = "".join(
+            f"{e.k} {e.t} {e.method} {e.samples_or_nodes} {e.value.hex()} {e.abs_error.hex()}\n"
+            for e in entries
+        )
+        assert out.encode() == (DATA / "golden_tail_exact.tsv").read_bytes()
+
+    def test_scale_in_integers(self):
+        for n in range(41):
+            for t in range(1, 61):
+                for k in (1, 2, 7, 31, t, 60):
+                    num, den = satotate._scale(k, t, n)
+                    assert Fraction(num, den) == residue_scale(k, t, n), (k, t, n)
+
+    def test_exp_series_sums_in_the_loop_order(self):
+        # signs and magnitudes spread so that a reordered sum rounds differently
+        rng = np.random.default_rng(3)
+        floats = [0.0] + [float(x) for x in rng.standard_normal(59) * 10.0 ** rng.integers(-6, 7, 59)]
+        assert satotate._exp_series(floats) == exp_series_loop(floats)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            decimals = [Decimal(x) / 7 for x in floats]
+            assert satotate._exp_series(decimals) == exp_series_loop(decimals)
+
     def test_zeta_to_forty_digits(self):
         with mpmath.workdps(50):
             for m in range(2, 61):
@@ -212,16 +247,21 @@ class TestEstimateRecord:
         with pytest.raises(ValueError):
             CEstimate(k=3, t=1, value=0.0, abs_error=0.0, method=METHOD_CLOSED,
                       samples_or_nodes=1)
-        with pytest.raises(ValueError):
-            CEstimate(k=3, t=1, value=0.5, abs_error=-1.0, method=METHOD_CLOSED,
-                      samples_or_nodes=1)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="abs_error must be >= 0"):
+                CEstimate(k=3, t=1, value=0.5, abs_error=bad, method=METHOD_CLOSED,
+                          samples_or_nodes=1)
+        assert CEstimate(3, 1, 0.5, math.inf, METHOD_CLOSED, 0).abs_error == math.inf
 
     def test_replace_and_make_validate(self):
         est = tail_constant(2, 1, method=METHOD_CLOSED)
         with pytest.raises(ValueError, match="out of"):
             est._replace(value=2.0)
-        with pytest.raises(ValueError, match="abs_error"):
-            CEstimate._make([*est[:3], -1.0, *est[4:]])
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="abs_error"):
+                CEstimate._make([*est[:3], bad, *est[4:]])
+            with pytest.raises(ValueError, match="abs_error"):
+                est._replace(abs_error=bad)
         assert CEstimate._make(est) == est._replace() == est
         assert type(est._replace(seed=None)) is CEstimate
 
