@@ -142,14 +142,16 @@ def _cmd_slope(args) -> int:
         group = PermutationGroup.parse(args.gens, args.n, cap=cap)
     except ValueError as exc:
         raise UsageError(f"bad --gens: {exc}") from exc
+    # every invariant before the first line, so a cap error prints nothing
     if args.min:
-        print(f"lambda_min={group.max_min_orbit_length()}")
-        print(f"sigma_min={group.min_orbit_slope()}")
+        suffix, lam, sigma = "_min", group.max_min_orbit_length(), group.min_orbit_slope()
     else:
-        print(f"lambda={group.max_orbit_length()}")
-        print(f"sigma={group.slope()}")
-    print(f"bisecting={'true' if group.has_bisecting() else 'false'}")
-    print(f"bisecting_fraction={group.bisecting_fraction()}")
+        suffix, lam, sigma = "", group.max_orbit_length(), group.slope()
+    bisecting, fraction = group.has_bisecting(), group.bisecting_fraction()
+    print(f"lambda{suffix}={lam}")
+    print(f"sigma{suffix}={sigma}")
+    print(f"bisecting={'true' if bisecting else 'false'}")
+    print(f"bisecting_fraction={fraction}")
     return 0
 
 

@@ -14,12 +14,17 @@ slope bounds for eigenvalue fields:
 * bisecting elements (exactly two orbits, of equal size) and their
   exact density in the group (a Chebotarev-style fraction).
 
-Each depends only on how many elements have each cycle type, so all of
-them read one cached summary of the cycle types per group, in closed
-form for S_n and A_n.  It rests on one deterministic
-Schreier–Sims stabilizer chain: the elements are the products of the
-chain's transversals, and the closure cap bounds only their enumeration
-(see ``PermutationGroup``).
+Each is read in the first of three tiers that decides it:
+
+1. generator evidence: a generator that is one cycle through all n
+   points puts an n-cycle in the group, so both orbit lengths are n
+   and no stabilizer chain is built;
+2. closed forms for S_n and A_n, recognised by the order n! or n!/2
+   of one deterministic Schreier–Sims stabilizer chain;
+3. for every other group, one walk over the products of the chain's
+   transversals under the closure cap, updating the longest cycle, the
+   shortest cycle and the bisecting count per product; no element list
+   is kept (see ``PermutationGroup``).
 
 ``interact_rules`` turns coarse invariants of a pair of number fields
 (degrees, Galois group shape, discriminants) into facts about how the
@@ -29,7 +34,6 @@ action over the base field constrains slopes and bisections.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, prod
 from operator import itemgetter
@@ -169,11 +173,8 @@ class Permutation:
         """True when the permutation has exactly two orbits and they
         have equal size.  By this literal count the identity on two
         points bisects (two fixed points)."""
-        return _bisecting(self.cycle_type())
-
-
-def _bisecting(cycle_type: tuple[int, ...]) -> bool:
-    return len(cycle_type) == 2 and cycle_type[0] == cycle_type[1]
+        cycle_type = self.cycle_type()
+        return len(cycle_type) == 2 and cycle_type[0] == cycle_type[1]
 
 
 def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
@@ -229,19 +230,72 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
     return reps
 
 
+def _walk_summary(reps: list[dict], degree: int) -> tuple[int, int, int]:
+    """(longest cycle, largest shortest cycle, number of bisecting
+    elements) over the group whose chain is ``reps``, depth first over
+    the products u_0 * u_1 * ... of one representative per level
+    (Seress §4.1), each element once and none kept.  The walk builds
+    suffixes v * s = ``itemgetter(*s)(v)``, innermost over level 0.
+    Needs ``degree`` >= 2, so that ``itemgetter`` returns tuples; every
+    group on fewer points is S_n or A_n and is never walked."""
+    levels = [[u for u, _ in level.values()] for level in reps if len(level) > 1]
+    first, outer = (levels[0], levels[1:]) if levels else ([tuple(range(degree))], [])
+    half = degree // 2 if degree % 2 == 0 else 0
+    lam = lam_min = bisecting = 0
+
+    def walk(depth: int, suffix: tuple[int, ...]) -> None:
+        nonlocal lam, lam_min, bisecting
+        if depth:
+            for v in outer[depth - 1]:
+                walk(depth - 1, itemgetter(*suffix)(v))
+            return
+        for g in map(itemgetter(*suffix), first):
+            seen = bytearray(degree)
+            low, high, cycles = degree, 0, 0
+            for start in range(degree):
+                if not seen[start]:
+                    seen[start] = 1
+                    j = g[start]
+                    length = 1
+                    while j != start:
+                        seen[j] = 1
+                        j = g[j]
+                        length += 1
+                    cycles += 1
+                    # plain comparisons: min() and max() double the walk's time
+                    if length < low:
+                        low = length
+                    if length > high:
+                        high = length
+            if high > lam:
+                lam = high
+            if low > lam_min:
+                lam_min = low
+            if cycles == 2 and high == half:
+                bisecting += 1
+
+    walk(len(outer), tuple(range(degree)))
+    return lam, lam_min, bisecting
+
+
 class PermutationGroup:
     """Group of permutations of ``{0, ..., n-1}`` given by generators.
 
     One cached stabilizer chain serves the group: ``order`` is the
     product of its transversal sizes, and ``elements`` lists the
     products of one representative per transversal, sorted by image
-    tuple.  The orbit invariants read one cached summary of the cycle
+    tuple.  The orbit invariants come in three tiers.  A generator that
+    is a full cycle decides ``max_orbit_length`` and
+    ``max_min_orbit_length`` (both n) without the chain.  Otherwise, and
+    for the bisecting count, they read one cached summary of the cycle
     types: closed forms when the order is n! or n!/2 (S_n, and A_n, the
-    only subgroup of index 2), otherwise a count over ``elements``.
-    ``elements``, and so ``element_fraction``, raise
-    ``ClosureCapExceeded`` when the order exceeds ``cap``, before listing
-    anything, so the cap bounds enumeration only.  With no generators
-    the group is trivial: the trivial action on 3 points has slope 2/3.
+    only subgroup of index 2), otherwise one depth-first walk over the
+    transversal products that keeps three running values and lists
+    nothing.  The walk, ``elements`` and so ``element_fraction`` raise
+    ``ClosureCapExceeded`` when the order exceeds ``cap``, before
+    walking or listing anything, so the cap bounds enumeration only.
+    With no generators the group is trivial: the trivial action on 3
+    points has slope 2/3.
     """
 
     def __init__(
@@ -283,8 +337,7 @@ class PermutationGroup:
         """All group elements, deterministically ordered by image tuple;
         ``ClosureCapExceeded`` when there are more than the cap."""
         if self._elements is None:
-            if self.order > self._cap:
-                raise ClosureCapExceeded(f"closure exceeds cap of {self._cap} elements")
+            self._check_cap()
             products = [tuple(range(self.degree))]
             for level in self._reps:  # built by self.order
                 if len(level) > 1:
@@ -300,6 +353,10 @@ class PermutationGroup:
         if self._reps is None:
             self._reps = _chain(self.degree, [g.images for g in self.generators])
         return prod(map(len, self._reps))
+
+    def _check_cap(self) -> None:
+        if self.order > self._cap:
+            raise ClosureCapExceeded(f"closure exceeds cap of {self._cap} elements")
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
@@ -321,20 +378,27 @@ class PermutationGroup:
                 # and the type (n/2, n/2) are even
                 self._summary = (n - 1, n // 2, bisecting)
             else:
-                types = Counter(g.cycle_type() for g in self.elements)
-                bisecting = sum(count for ct, count in types.items() if _bisecting(ct))
-                self._summary = (max(ct[-1] for ct in types), max(ct[0] for ct in types), bisecting)
+                self._check_cap()
+                self._summary = _walk_summary(self._reps, n)
         return self._summary
+
+    def _has_full_cycle_generator(self) -> bool:
+        """Generator evidence: an n-cycle makes both orbit lengths n."""
+        return any(g.max_orbit_length() == self.degree for g in self.generators)
 
     # -- orbit invariants ----------------------------------------------
 
     def max_orbit_length(self) -> int:
         """Largest orbit length achieved by any element."""
+        if self._has_full_cycle_generator():
+            return self.degree
         return self._orbit_summary()[0]
 
     def max_min_orbit_length(self) -> int:
         """Supremum over elements of that element's *shortest* orbit
         length (equals n exactly when some element is an n-cycle)."""
+        if self._has_full_cycle_generator():
+            return self.degree
         return self._orbit_summary()[1]
 
     def slope(self) -> Fraction:

@@ -23,8 +23,9 @@ when p divides the discriminant of the Hecke polynomial.  Today every
 such p is refused as ramified, so skipped_index does not occur; it
 remains a distinct status for the report contract.
 
-What belongs to a field is computed once per file: records with equal
-generators share one ``PermutationGroup``, and the callers of
+What belongs to a field is computed once per file: each distinct
+generator list is parsed once, records with equal generators share one
+``PermutationGroup``, and the callers of
 ``analyze_form`` pass one dict of ``split_in_F`` verdicts per file.
 The roots of a Hecke polynomial belong to the polynomial, not to a
 file: ``numberfield.weil_bound_check`` finds them once and keeps them.
@@ -253,7 +254,9 @@ def _positive_int(label, field, value):
 
 def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = None) -> FormRecord:
     """Validate one record object.  ``groups`` maps (degree, generator
-    image tuples) to a group, so records listing one action share it."""
+    image tuples) to a group, so records listing one action share it,
+    and (degree, generator strings) to the same group, so each distinct
+    list is parsed once."""
     if not isinstance(obj, dict):
         raise SchemaError(f"record #{position}: not a JSON object")
     label = obj.get("label")
@@ -324,13 +327,18 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
         gens_raw = obj["galois_gens"]
         if not isinstance(gens_raw, list) or not all(isinstance(s, str) for s in gens_raw):
             _fail(label, "galois_gens", "must be a list of permutation strings")
-        try:
-            gens = [Permutation.parse(s, degree) for s in gens_raw]
-        except ValueError as exc:
-            _fail(label, "galois_gens", str(exc))
-        key = (degree, tuple(g.images for g in gens))
         groups = {} if groups is None else groups
-        galois_action = groups.setdefault(key, PermutationGroup(degree, gens))
+        # a list seen before in this file is not parsed again; a list
+        # that fails to parse ends the file, so no failure is kept
+        raw_key = (degree, tuple(gens_raw))
+        galois_action = groups.get(raw_key)
+        if galois_action is None:
+            try:
+                gens = [Permutation.parse(s, degree) for s in gens_raw]
+            except ValueError as exc:
+                _fail(label, "galois_gens", str(exc))
+            key = (degree, tuple(g.images for g in gens))
+            galois_action = groups[raw_key] = groups.setdefault(key, PermutationGroup(degree, gens))
 
     interact = None
     if "interact" in obj:
@@ -548,7 +556,10 @@ def guarantee(rec: FormRecord) -> Guarantee:
     unconditionally, so they return first; a zero-slope ``interact``
     fact sets sigma = 0 without ``slope()`` (weight 2) or
     ``min_orbit_slope()`` (weight 3); and ``has_bisecting()``, whose
-    bound 0 is conditional, is asked only when sigma != 0.
+    bound 0 is conditional, is asked only when sigma != 0.  A group
+    answers the slopes in its cheapest tier: a full-cycle generator
+    gives sigma = 0 with no chain and no walk, so such a group decides
+    the case even past the closure cap.
     """
     try:
         facts = interact_rules(rec.interact) if rec.interact is not None else frozenset()

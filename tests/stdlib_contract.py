@@ -132,8 +132,10 @@ def s10_and_a10(tmp):
 
 def wreath_metadata(tmp):
     """classify decides S_6 wr S_2 records (order 1036800, over the cap)
-    from CM, k_f_circ <= 2 or a zero-slope interact fact, never reading
-    the group; a record without them stops at the cap."""
+    from CM, k_f_circ <= 2, a zero-slope interact fact or a 12-cycle
+    generator, never walking the group; a record without them stops at
+    the cap, and so does slope, which prints a line only once every
+    invariant is known."""
     base = dict(RECORD, hecke_poly=[-1, -1] + [0] * 10 + [1], galois_degree=12,
                 galois_gens=["(0 1 2 3 4 5)", "(0 1)", "(0 6)(1 7)(2 8)(3 9)(4 10)(5 11)"])
     fact = {"deg_K": 3, "deg_F": 1}
@@ -149,6 +151,15 @@ def wreath_metadata(tmp):
         "zero3 case=Weight3Bound bound_on_kp=0 density=abundant conditional_on=- note=k_f_circ-unknown",
         "tst03 case=RSTBound bound_on_kp=1 density=conditional_abundant conditional_on=tST(03)",
     ))
+    cycle = dict(base, galois_gens=["(0 6 1 7 2 8 3 9 4 10 5 11)", "(0 1)"])
+    generated = write(tmp, "cycle.json", dict(cycle, label="cycle2"), dict(cycle, label="cycle3", weight=[3]))
+    expect(cli(tmp, "classify", generated, timeout=10), out=lines(
+        "cycle2 case=ZeroSlope bound_on_kp=0 density=abundant conditional_on=- note=k_f_circ-unknown",
+        "cycle3 case=Weight3Bound bound_on_kp=0 density=abundant conditional_on=- note=k_f_circ-unknown",
+    ))
+    for extra in ([], ["--min"]):
+        expect(cli(tmp, "slope", "--gens", ";".join(cycle["galois_gens"]), "--n", "12", *extra, timeout=10),
+               code=2, out=b"", err=CAP_ERROR)
     undecided = write(tmp, "undecided.json", dict(base, label="plain"))
     expect(cli(tmp, "classify", undecided, timeout=10), code=2, out=b"", err=CAP_ERROR)
 
@@ -181,10 +192,12 @@ def large_slopes(tmp):
 
 
 def chain_and_cap(tmp):
-    """slope lists S_8 x C_2 (80640 elements) from its chain and refuses
-    C_2^200 at the cap, before listing."""
+    """slope walks S_8 x C_2 (80640 elements) and S_9 x C_2 (725760) over
+    their chains and refuses C_2^200 at the cap, before walking."""
     expect(cli(tmp, "slope", "--gens", "(0 1 2 3 4 5 6 7);(0 1);(8 9)", "--n", "10"),
            out=lines("lambda=8 sigma=1/5 bisecting=false bisecting_fraction=0", sep="\n"))
+    expect(cli(tmp, "slope", "--gens", "(0 1 2 3 4 5 6 7 8);(0 1);(9 10)", "--n", "11", timeout=10),
+           out=lines("lambda=9 sigma=2/11 bisecting=false bisecting_fraction=0", sep="\n"))
     gens = ";".join(f"({2 * i} {2 * i + 1})" for i in range(200))
     expect(cli(tmp, "slope", "--gens", gens, "--n", "400", timeout=60), code=2, out=b"", err=CAP_ERROR)
 

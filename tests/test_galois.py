@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_closure, cycle_type_histogram
@@ -163,13 +163,17 @@ class TestGroupClosure:
             assert PermutationGroup.parse(gens, n).order == order, gens
 
     # groups whose stabilizer chains have several nontrivial levels, past
-    # the degree <= 6 of the property above
+    # the degree <= 6 of the property above, and one that random
+    # generators seldom give
     NAMED_GROUPS = {
         "S4xS3": ("(0 1 2 3);(0 1);(4 5 6);(4 5)", 7, 144),
         "C2^4": ("(0 1);(2 3);(4 5);(6 7)", 8, 16),
         "D9": ("(0 1 2 3 4 5 6 7 8);(1 8)(2 7)(3 6)(4 5)", 9, 18),
         "S3wrS2": ("(0 1 2);(0 1);(0 3)(1 4)(2 5)", 6, 72),
         "S8xC2": ("(0 1 2 3 4 5 6 7);(0 1);(8 9)", 10, 80640),
+        # S_5 acting on the 6 points of the projective line over F_5: a
+        # walk that multiplies the levels in the wrong order miscounts it
+        "PGL2(5)": ("(1 2 5 4);(0 3 5 4)", 6, 120),
     }
 
     @pytest.mark.parametrize("name", NAMED_GROUPS)
@@ -286,18 +290,6 @@ def _alternating(n):
 
 
 class TestCycleTypeHistogram:
-    @settings(deadline=None)
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))
-        )
-    )
-    def test_invariants_match_reference_closure(self, degree_and_images):
-        degree, images = degree_and_images
-        gens = [Permutation(im) for im in images]
-        expected = _reference_invariants(bfs_closure(gens, degree, cap=10**6), degree)
-        assert _invariants(PermutationGroup(degree, gens)) == expected
-
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("family", ["symmetric", "alternating"])
     def test_closed_forms_without_enumeration(self, family, n):
@@ -339,6 +331,65 @@ class TestCycleTypeHistogram:
             "has_bisecting": bisecting > 0,
             "bisecting_fraction": Fraction(bisecting, order),
         }
+
+
+class TestThreeTiers:
+    """Generator evidence, closed forms, then the streamed walk."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.permutations(range(n)), max_size=3),
+                # the points of a full-cycle generator in cycle order, if any
+                st.none() | st.permutations(range(n)),
+                st.integers(0, 3),
+            )
+        )
+    )
+    @example((1, [], None, 0))
+    @example((1, [], [0], 0))
+    @example((5, [], None, 0))
+    @example((6, [[1, 0, 3, 2, 5, 4]], [0, 3, 1, 4, 2, 5], 1))
+    def test_invariants_match_reference_closure(self, drawn):
+        degree, images, cycle, at = drawn
+        gens = [Permutation(im) for im in images]
+        if cycle is not None:
+            full = [0] * degree
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                full[a] = b
+            gens.insert(min(at, len(gens)), Permutation(full))
+        expected = _reference_invariants(bfs_closure(gens, degree, cap=10**6), degree)
+        group = PermutationGroup(degree, gens)
+        assert _invariants(group) == expected
+        assert group._elements is None  # the walk lists nothing
+        if cycle is not None:
+            fresh = PermutationGroup(degree, gens, cap=1)
+            assert fresh.max_orbit_length() == fresh.max_min_orbit_length() == degree
+            assert fresh._reps is None  # decided without a chain
+
+    @pytest.mark.parametrize("name", TestGroupClosure.NAMED_GROUPS)
+    def test_walk_matches_reference_closure_on_named_groups(self, name):
+        gens, degree, _ = TestGroupClosure.NAMED_GROUPS[name]
+        group = PermutationGroup.parse(gens, degree)
+        expected = _reference_invariants(bfs_closure(group.generators, degree, cap=10**6), degree)
+        assert _invariants(group) == expected
+        assert group._elements is None
+
+    def test_cap_stops_the_walk_but_not_generator_evidence(self):
+        c2_cubed = PermutationGroup.parse("(0 1);(2 3);(4 5)", 6, cap=7)
+        with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap of 7 elements$"):
+            c2_cubed.has_bisecting()
+        with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap of 7 elements$"):
+            c2_cubed.slope()
+        # S_6 wr S_2, 1036800 elements: a 12-cycle generator decides both
+        # orbit lengths; the bisecting count still needs the walk
+        wreath = PermutationGroup.parse("(0 6 1 7 2 8 3 9 4 10 5 11);(0 1)", 12)
+        assert wreath.slope() == wreath.min_orbit_slope() == 0
+        with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap of 1000000 elements$"):
+            wreath.has_bisecting()
+        assert wreath.order == 2 * factorial(6) ** 2
 
 
 class TestBlockAction:

@@ -469,11 +469,14 @@ class TestPerFileSharing:
 
         calls = []
         chain = galois._chain
-        monkeypatch.setattr(galois, "_chain", lambda degree, gens: calls.append(degree) or chain(degree, gens))
+        monkeypatch.setattr(galois, "_chain", lambda degree, gens: calls.append((degree, tuple(gens))) or chain(degree, gens))
         assert main(["classify", str(DATA / "golden_galois.json")]) == 0
         out = capsys.readouterr().out
         assert out == (DATA / "golden_classify.tsv").read_text(encoding="utf-8")
-        assert (out.count("\n"), len(calls)) == (32, 16)
+        # 16 distinct actions, and all but A_4 and A_6 have a generator
+        # that is a full cycle, which decides both orbit lengths
+        assert (out.count("\n"), len(calls), len(set(calls))) == (32, 2, 2)
+        assert sorted(degree for degree, _ in calls) == [4, 6]
 
     def test_equal_generators_share_one_group(self):
         cubic = {"hecke_poly": [-2, 0, 0, 1], "ap": []}
@@ -487,6 +490,21 @@ class TestPerFileSharing:
         assert c.galois_action is not a.galois_action
         # each record alone builds its own
         assert record_from_dict(minimal_dict(**s3)).galois_action is not a.galois_action
+
+    def test_each_generator_list_parsed_once(self, monkeypatch):
+        parsed = []
+        parse = pipeline.Permutation.parse
+        monkeypatch.setattr(pipeline.Permutation, "parse", lambda s, n: parsed.append(s) or parse(s, n))
+        cubic = {"hecke_poly": [-2, 0, 0, 1], "ap": []}
+        s3 = dict(cubic, galois_gens=["(0 1 2)", "(0 1)"], galois_degree=3)
+        a, b, c = records_from_obj([
+            minimal_dict(label="a", **s3),
+            minimal_dict(label="b", **s3),
+            # the same permutations written otherwise: parsed, then shared
+            minimal_dict(label="c", galois_gens=["(1 2 0)", "1,0,2"], galois_degree=3, **cubic),
+        ])
+        assert parsed == ["(0 1 2)", "(0 1)", "(1 2 0)", "1,0,2"]
+        assert a.galois_action is b.galois_action is c.galois_action
 
 
 class TestGuarantee:

@@ -218,6 +218,27 @@ class TestSeries:
         )
         assert out.encode() == (DATA / "golden_tail_exact.tsv").read_bytes()
 
+    # (k, t): abs_error, and the working-precision bound of residue 0
+    MAJORANT_PINS = {
+        (47, 44): ("0x1.ffce0926a0a8bp-53", "0x1.0738dcec4e2a6p-106"),
+        (56, 48): ("0x1.ff07fb29b2c5cp-53", "0x1.74a8b42329271p-106"),
+        (59, 58): ("0x1.fffe9ae0a2b16p-53", "0x1.6ec9d1ae30bd9p-104"),
+        (60, 49): ("0x1.fd75e393416e0p-53", "0x1.7787bc966b26ap-106"),
+    }
+
+    def test_majorant_sums_in_a_fixed_order(self):
+        # of the entries with k <= 60, only 128 have an abs_error whose bits
+        # the working-precision term reaches; these four are among them.
+        # Summing the majorant's inner sum in another order moves residue
+        # 0's bound by an ulp, which abs_error's rounding absorbs, so the
+        # residue's bound is pinned as well
+        for (k, t), (abs_error, working) in self.MAJORANT_PINS.items():
+            assert tail_constant(k, t).abs_error.hex() == abs_error, (k, t)
+            with localcontext() as ctx:
+                ctx.prec = satotate._DIGITS
+                pi_t = (6 * satotate._zeta(2)).sqrt() ** t
+                assert satotate._residue(k, t, 0, pi_t)[1].hex() == working, (k, t)
+
     def test_scale_in_integers(self):
         for n in range(41):
             for t in range(1, 61):
