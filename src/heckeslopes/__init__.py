@@ -22,7 +22,7 @@ _EXPORTS = {
     "polygon": ("SlopeMultiset", "frobenius_polygon", "hodge_polygon"),
     "galois": ("Permutation", "PermutationGroup", "FieldInteraction", "interact_rules"),
     "numberfield": (
-        "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
+        "Field", "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
         "Defect", "k_of_p", "weil_bound_check", "half_bound_check",
     ),
     "satotate": (

@@ -186,8 +186,7 @@ def _cmd_analyze(args) -> int:
     from .pipeline import analyze_form, emit_report, load_forms
 
     records = load_forms(args.file)
-    split_verdicts: dict = {}
-    analyses = [analyze_form(rec, split_verdicts=split_verdicts) for rec in records]
+    analyses = [analyze_form(rec) for rec in records]
     payload = emit_report(analyses, fmt=args.format)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -23,8 +23,8 @@ a mod p) (Cohen, *A Course in Computational Algebraic Number Theory*,
 3.4): ``k_of_p`` takes one gcd and never factors.  In the same way
 ``splits_completely`` counts the roots of ``f`` mod ``p`` as
 deg gcd(x^p - x, f mod p).  Euclid's remainders build no quotient.
-disc(f) is computed once per polynomial, from the n-square Bézout
-matrix of (f, f') for f of degree n.  Coordinates must be ``int`` or
+disc(f) comes from the n-square Bézout matrix of (f, f') for f of
+degree n, once per ``Field``.  Coordinates must be ``int`` or
 ``Fraction`` (``TypeError`` otherwise).
 
 Factorization mod p, used only by ``splitting_type`` (and so by
@@ -40,9 +40,8 @@ Every modulus ``p`` must be prime (``ValueError`` otherwise), and
 ``embeddings`` (behind ``weil_bound_check``) uses only the standard
 library.  It certifies real roots to 1e-9 relative by an exact sign
 change, evaluated in integers at the floats' exact ratios; complex
-roots and the Weil comparison are floating point.  ``weil_bound_check``
-finds the roots once per polynomial, in a bounded memo next to the
-discriminant's, so callers pass only the element and the polynomial.
+roots and the Weil comparison are floating point, and found once per
+``Field``: a caller asking many questions of one field passes one Field.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from typing import NamedTuple, Sequence, Union
 from ._arith import is_prime
 
 __all__ = [
+    "Field",
     "RamifiedPrimeError",
     "IndexWarningError",
     "factor_mod_p",
@@ -83,6 +83,32 @@ class RamifiedPrimeError(ArithmeticError):
 class IndexWarningError(ArithmeticError):
     """p divides disc(f): the order Z[x]/(f) may not be maximal at p,
     so factor degrees need not match residue degrees."""
+
+
+class Field(tuple):
+    """Q[x]/(f) for monic integer ``f``, as the tuple of f's ascending
+    coefficients (after PARI/GP's ``nfinit``, Cohen ch. 4).  ``disc``,
+    ``roots`` and ``splits`` (``splits_completely`` verdicts by prime)
+    are computed on first use and kept as long as the Field lives."""
+
+    def __new__(cls, f: IntPoly) -> Field:
+        if isinstance(f, Field):
+            return f
+        if not f or f[-1] != 1:
+            raise ValueError("defining polynomial must be monic")
+        return super().__new__(cls, f)
+
+    @functools.cached_property
+    def disc(self) -> int:
+        return discriminant(self)
+
+    @functools.cached_property
+    def roots(self) -> tuple[complex, ...]:
+        return embeddings(self)  # by name, so a wrapper on it counts calls
+
+    @functools.cached_property
+    def splits(self) -> dict[int, bool]:
+        return {}
 
 
 # ---------------------------------------------------------------------
@@ -279,11 +305,6 @@ class PrimeSplitting(NamedTuple):
     ramified: bool
 
 
-def _require_monic(f: IntPoly) -> None:
-    if not f or f[-1] != 1:
-        raise ValueError("defining polynomial must be monic")
-
-
 def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
     """Factor the defining polynomial mod ``p`` and package the shape.
 
@@ -291,8 +312,7 @@ def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
     caller's claim.  The degree identity sum(e_i * f_i) = deg f always
     holds.
     """
-    _require_monic(f)
-    factors = tuple(factor_mod_p(f, p))
+    factors = tuple(factor_mod_p(Field(f), p))
     return PrimeSplitting(
         p=p,
         factors=factors,
@@ -345,13 +365,12 @@ class Defect(NamedTuple):
     all_primes: bool
 
 
-def _squarefree_reduction(f: IntPoly, p: int) -> list[int]:
-    """``f`` mod ``p`` for monic ``f``, refusing ``p`` (with
-    ``RamifiedPrimeError``) when it has a repeated factor, which for
-    monic ``f`` of degree >= 1 happens exactly when p | disc(f)."""
-    _require_monic(f)
-    fb = _reduce_mod_prime(f, p)
-    if len(f) > 1 and _discriminant(tuple(f)) % p == 0:
+def _squarefree_reduction(field: Field, p: int) -> list[int]:
+    """``field`` mod ``p``, refusing ``p`` (with ``RamifiedPrimeError``)
+    when it has a repeated factor, which for monic f of degree >= 1
+    happens exactly when p | disc(f)."""
+    fb = _reduce_mod_prime(field, p)
+    if len(field) > 1 and field.disc % p == 0:
         # the Dedekind criterion will separate genuine ramification
         # from index divisors (IndexWarningError) here
         raise RamifiedPrimeError(f"p={p} ramifies in the field")
@@ -362,13 +381,13 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     """Ordinariness defect of ``a`` at ``p``: sum of residue degrees f_i
     over the primes (p, g_i) that contain ``a``.
 
-    Refuses primes dividing disc(f), computed once per ``f`` (the
+    Refuses primes dividing disc(f), computed once per ``Field`` (the
     residue correspondence is unreliable there).  Otherwise f mod p is
     squarefree and the defect is deg gcd(f mod p, a mod p), so nothing
     is factored.  The zero element lies in every prime: the full field
     degree is returned with ``all_primes=True`` rather than silently.
     """
-    fb = _squarefree_reduction(f, p)
+    fb = _squarefree_reduction(Field(f), p)
     n = _deg(fb)
     _require_length(a, n)
     apoly = _integral_reduction(a, p)
@@ -380,12 +399,15 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
 
 def splits_completely(f: IntPoly, p: int) -> bool:
     """Whether monic ``f`` splits into distinct linear factors mod
-    ``p``: deg gcd(x^p - x, f mod p) = deg f.  Refuses ``p`` | disc(f)
-    like ``k_of_p``: there f mod p has a repeated factor."""
-    fb = _squarefree_reduction(f, p)
-    x = [0, 1]
-    roots = _gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)
-    return _deg(roots) == _deg(fb)
+    ``p``: deg gcd(x^p - x, f mod p) = deg f, kept in ``Field(f).splits``.
+    Refuses ``p`` | disc(f) like ``k_of_p``: f mod p has a repeated factor."""
+    field = Field(f)
+    if type(p) is not int or p not in field.splits:  # 7.0 == 7 would skip the checks
+        fb = _squarefree_reduction(field, p)
+        x = [0, 1]
+        roots = _gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)
+        field.splits[p] = _deg(roots) == _deg(fb)
+    return field.splits[p]
 
 
 # ---------------------------------------------------------------------
@@ -407,10 +429,6 @@ def discriminant(f: IntPoly) -> int:
         above = [above[j + 1] + f[j + 1] * df[i] - f[i] * df[j + 1] for j in range(n)] + [0]
         rows.append(above[:n])
     return _bareiss_det(rows) // f[-1] ** 2
-
-
-# one Bareiss determinant per polynomial, however many primes ask
-_discriminant = functools.lru_cache(maxsize=256)(discriminant)
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -502,27 +520,19 @@ def embeddings(f: IntPoly) -> tuple[complex, ...]:
     return tuple(z)
 
 
-@functools.lru_cache(maxsize=256)
-def _roots(f: tuple[int, ...]) -> tuple[complex, ...]:
-    # one root finding per polynomial, however many elements are checked;
-    # ``embeddings`` is looked up by name, so a wrapper on it counts them
-    return embeddings(f)
-
-
 def weil_bound_check(a: Sequence[Coord], f: IntPoly, p: int, weight: int = 2) -> bool:
     """Check |sigma(a)| <= 2*sqrt(p) (weight 2) or <= 2*p (weight 3)
     for every archimedean embedding sigma, with a 1e-9 relative slack
-    for the floating-point root finding.  The roots of ``f`` are found
-    once per polynomial and kept in a bounded memo (the last 256
-    polynomials), so checking many elements of one field finds them
-    once."""
+    for the floating-point root finding.  ``f`` must be monic, and its
+    roots are found once per ``Field``."""
     if weight not in (2, 3):
         raise ValueError("weight must be 2 or 3")
-    _require_length(a, _deg(list(f)))
+    field = Field(f)
+    _require_length(a, _deg(field))
     coeffs = [n / d for n, d in _fractions(a)]
     bound = 2 * (p**0.5) if weight == 2 else 2.0 * p
     bound *= 1 + 1e-9
-    return all(abs(_horner(coeffs, root)) <= bound for root in _roots(tuple(f)))
+    return all(abs(_horner(coeffs, root)) <= bound for root in field.roots)
 
 
 def half_bound_check(k_p: int, k_f: int, p: int) -> str:

@@ -25,10 +25,8 @@ remains a distinct status for the report contract.
 
 What belongs to a field is computed once per file: each distinct
 generator list is parsed once, records with equal generators share one
-``PermutationGroup``, and the callers of
-``analyze_form`` pass one dict of ``split_in_F`` verdicts per file.
-The roots of a Hecke polynomial belong to the polynomial, not to a
-file: ``numberfield.weil_bound_check`` finds them once and keeps them.
+``PermutationGroup``, and records with equal polynomials share one
+``numberfield.Field``, with its discriminant, roots and split verdicts.
 
 ``guarantee`` classifies what the record's metadata alone proves about
 defects and ordinary density, choosing the strongest applicable case
@@ -57,6 +55,7 @@ from .galois import (
     interact_rules,
 )
 from .numberfield import (
+    Field,
     IndexWarningError,
     RamifiedPrimeError,
     half_bound_check,
@@ -237,13 +236,13 @@ def _int_list(label, field, value, length=None):
     return tuple(value)
 
 
-def _monic_poly(label, field, value, degree=None):
+def _monic_poly(label, field, value, shared, degree=None):
     coeffs = _int_list(label, field, value)
     if len(coeffs) < 2 or coeffs[-1] != 1:
         _fail(label, field, "must be a monic polynomial of degree >= 1 (ascending coefficients)")
     if degree is not None and len(coeffs) - 1 != degree:
         _fail(label, field, f"degree {len(coeffs) - 1} does not match d={degree}")
-    return coeffs
+    return shared.get(coeffs) or shared.setdefault(coeffs, Field(coeffs))
 
 
 def _positive_int(label, field, value):
@@ -252,11 +251,12 @@ def _positive_int(label, field, value):
     return value
 
 
-def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = None) -> FormRecord:
-    """Validate one record object.  ``groups`` maps (degree, generator
-    image tuples) to a group, so records listing one action share it,
-    and (degree, generator strings) to the same group, so each distinct
-    list is parsed once."""
+def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = None) -> FormRecord:
+    """Validate one record object.  ``shared`` maps each polynomial, a
+    tuple of ints, to its ``Field`` and (degree, generator image tuples)
+    to a group, so records listing one share it, and (degree, generator
+    strings) to the same group, so each distinct list is parsed once."""
+    shared = {} if shared is None else shared
     if not isinstance(obj, dict):
         raise SchemaError(f"record #{position}: not a JSON object")
     label = obj.get("label")
@@ -275,14 +275,14 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
         _fail(label, sorted(unknown)[0], "unknown key")
 
     d = _positive_int(label, "d", obj["d"])
-    field_poly = _monic_poly(label, "field_poly", obj["field_poly"], degree=d)
+    field_poly = _monic_poly(label, "field_poly", obj["field_poly"], shared, degree=d)
     level_norm = _positive_int(label, "level_norm", obj["level_norm"])
 
     weight = _int_list(label, "weight", obj["weight"], length=d)
     if len(set(weight)) != 1 or weight[0] not in (2, 3):
         _fail(label, "weight", "entries must all equal 2 or all equal 3")
 
-    hecke_poly = _monic_poly(label, "hecke_poly", obj["hecke_poly"])
+    hecke_poly = _monic_poly(label, "hecke_poly", obj["hecke_poly"], shared)
     k_f = len(hecke_poly) - 1
 
     cm = obj["cm"]
@@ -327,18 +327,17 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
         gens_raw = obj["galois_gens"]
         if not isinstance(gens_raw, list) or not all(isinstance(s, str) for s in gens_raw):
             _fail(label, "galois_gens", "must be a list of permutation strings")
-        groups = {} if groups is None else groups
         # a list seen before in this file is not parsed again; a list
         # that fails to parse ends the file, so no failure is kept
         raw_key = (degree, tuple(gens_raw))
-        galois_action = groups.get(raw_key)
+        galois_action = shared.get(raw_key)
         if galois_action is None:
             try:
                 gens = [Permutation.parse(s, degree) for s in gens_raw]
             except ValueError as exc:
                 _fail(label, "galois_gens", str(exc))
             key = (degree, tuple(g.images for g in gens))
-            galois_action = groups[raw_key] = groups.setdefault(key, PermutationGroup(degree, gens))
+            galois_action = shared[raw_key] = shared.setdefault(key, PermutationGroup(degree, gens))
 
     interact = None
     if "interact" in obj:
@@ -407,12 +406,12 @@ def record_from_dict(obj: dict, position: int = 0, *, groups: Optional[dict] = N
 
 
 def records_from_obj(obj) -> list[FormRecord]:
-    """Validate an already-parsed JSON value (must be a list of record
-    objects).  Records with equal generators share one group."""
+    """Validate an already-parsed JSON value (a list of record objects),
+    sharing one ``Field`` per polynomial and one group per action."""
     if not isinstance(obj, list):
         raise SchemaError("top level must be a JSON list of form records")
-    groups: dict = {}
-    return [record_from_dict(item, position=i, groups=groups) for i, item in enumerate(obj)]
+    shared: dict = {}
+    return [record_from_dict(item, position=i, shared=shared) for i, item in enumerate(obj)]
 
 
 def load_forms(path: Union[str, Path]) -> list[FormRecord]:
@@ -429,30 +428,23 @@ def load_forms(path: Union[str, Path]) -> list[FormRecord]:
 # ---------------------------------------------------------------------
 # per-prime analysis
 
-def _check_split_claim(rec: FormRecord, p: int, split_verdicts: dict) -> None:
-    key = (rec.field_poly, p)
-    if key not in split_verdicts:
-        try:
-            split_verdicts[key] = splits_completely(rec.field_poly, p)
-        except RamifiedPrimeError:
-            # field_poly has a repeated factor mod p: its roots cannot
-            # refute the claim, and the analysis never uses it
-            split_verdicts[key] = True
-    if not split_verdicts[key]:
-        raise DataError(
-            f"record {rec.label!r}: p={p} is flagged split_in_F but the base "
-            "field polynomial does not split into distinct linear factors mod p"
-        )
-
-
 def _analyze_entry(
-    rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset, newtons: dict[int, SlopeMultiset],
-    split_verdicts: dict,
+    rec: FormRecord, entry: ApEntry, hodge: SlopeMultiset, newtons: dict[int, SlopeMultiset]
 ) -> PrimeReport:
     p = entry.p
     if not entry.split_in_F:
         return PrimeReport(p=p, status=STATUS_SKIPPED_NONSPLIT)
-    _check_split_claim(rec, p, split_verdicts)
+    try:
+        split = splits_completely(rec.field_poly, p)
+    except RamifiedPrimeError:
+        # field_poly has a repeated factor mod p: its roots cannot
+        # refute the claim, and the analysis never uses it
+        split = True
+    if not split:
+        raise DataError(
+            f"record {rec.label!r}: p={p} is flagged split_in_F but the base "
+            "field polynomial does not split into distinct linear factors mod p"
+        )
     try:
         defect = k_of_p(entry.a, rec.hecke_poly, p)
     except RamifiedPrimeError:
@@ -488,27 +480,26 @@ def _analyze_entry(
     )
 
 
-# Always empty: the roots live in numberfield.  The name stays only because
-# perfbench/run.py (_timed_pass) empties it before each in-process pass.
+# Always empty: each numberfield.Field keeps its roots.  The name stays only
+# because perfbench/run.py (_timed_pass) empties it before each in-process pass.
 _EMBEDDING_CACHE: dict = {}
 
 
-def analyze_form(rec: FormRecord, *, split_verdicts: Optional[dict] = None) -> FormAnalysis:
+def analyze_form(rec: FormRecord) -> FormAnalysis:
     """Classify every listed prime of one record and summarize.
 
     Deterministic for a given record; the primes are analyzed serially
     in listed order.  Every ``split_in_F`` claim is cross-checked
     against the base field polynomial (``DataError`` on a false claim
     or on an a_p whose coordinates are not integers).  The verdict on
-    each (field_poly, p) is stored in ``split_verdicts``; records of one
-    file pass the same dict, so each is computed once per file.
+    each p, like the discriminant, is kept on the ``Field`` of
+    ``field_poly``, so records loaded from one file compute each once.
     Degenerate a_p = 0 primes count as analyzed-and-not-ordinary in the
     summary; their own rows keep the ``degenerate_ap_zero`` status.
     """
-    split_verdicts = {} if split_verdicts is None else split_verdicts
     hodge = hodge_polygon(rec.d, rec.k_f, rec.motivic_weight)
     newtons: dict[int, SlopeMultiset] = {}
-    reports = tuple(_analyze_entry(rec, e, hodge, newtons, split_verdicts) for e in rec.eigenvalues)
+    reports = tuple(_analyze_entry(rec, e, hodge, newtons) for e in rec.eigenvalues)
 
     counted = [r for r in reports if r.status in (STATUS_ANALYZED, STATUS_DEGENERATE_AP_ZERO)]
     n_analyzed = len(counted)

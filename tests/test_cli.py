@@ -588,7 +588,7 @@ ROOT_EXPORTS = {
     "polygon": ["SlopeMultiset", "frobenius_polygon", "hodge_polygon"],
     "galois": ["Permutation", "PermutationGroup", "FieldInteraction", "interact_rules"],
     "numberfield": [
-        "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
+        "Field", "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
         "Defect", "k_of_p", "weil_bound_check", "half_bound_check",
     ],
     "satotate": [
@@ -637,7 +637,7 @@ print(len(namespace) - 1)
 """
     proc = python(tmp_path, "-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"30\n"
+    assert proc.stdout == b"31\n"
 
 
 def test_newton_below_hodge_is_data_error_under_optimize(forms_file):

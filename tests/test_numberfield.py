@@ -7,6 +7,7 @@ import pytest
 from conftest import poly_mul_mod, primes_below, quadratic_defect
 from heckeslopes.numberfield import (
     Defect,
+    Field,
     IndexWarningError,
     RamifiedPrimeError,
     discriminant,
@@ -16,6 +17,7 @@ from heckeslopes.numberfield import (
     half_bound_check,
     is_prime,
     k_of_p,
+    splits_completely,
     splitting_type,
     weil_bound_check,
 )
@@ -301,11 +303,49 @@ class TestWeilBound:
 
         calls = []
         monkeypatch.setattr(numberfield, "embeddings", lambda f: calls.append(f) or embeddings(f))
-        numberfield._roots.cache_clear()
-        # 4 + sqrt2 > 2 sqrt7; a list presents the same polynomial
-        elements = [((1, 1), SQRT2), ((3, 1), SQRT2), ((4, 1), list(SQRT2)), ((0, 2), SQRT2)]
-        assert [weil_bound_check(a, f, 7) for a, f in elements] == [True, True, False, True]
+        # 4 + sqrt2 > 2 sqrt7; one Field finds its roots once
+        field = Field(SQRT2)
+        elements = [(1, 1), (3, 1), (4, 1), (0, 2)]
+        assert [weil_bound_check(a, field, 7) for a in elements] == [True, True, False, True]
         assert calls == [SQRT2]
+        # a bare polynomial gets a throwaway Field, and the roots are found again
+        assert weil_bound_check((1, 1), list(SQRT2), 7) is True
+        assert calls == [SQRT2, SQRT2]
+
+
+class TestField:
+    def test_is_its_coefficient_tuple(self):
+        field = Field(SQRT2)
+        assert Field(field) is field
+        assert Field((0, 1)) == (0, 1) and hash(Field((0, 1))) == hash((0, 1))
+        assert Field([0, 1]) == Field((0, 1)) and repr(Field([0, 1])) == "(0, 1)"
+
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda f: splitting_type(f, 7),
+            lambda f: k_of_p((1, 1), f, 7),
+            lambda f: splits_completely(f, 7),
+            lambda f: weil_bound_check((1, 1), f, 7),
+            Field,
+        ],
+        ids=["splitting_type", "k_of_p", "splits_completely", "weil_bound_check", "Field"],
+    )
+    @pytest.mark.parametrize("f", [(1, 2), (-2, 0, 2), (), [1, 0]])
+    def test_non_monic_refused(self, ask, f):
+        with pytest.raises(ValueError, match="defining polynomial must be monic"):
+            ask(f)
+
+    def test_split_verdict_per_prime_kept_on_the_field(self):
+        field = Field(SQRT2)
+        assert [splits_completely(field, p) for p in (7, 3, 7)] == [True, False, True]
+        assert field.splits == {7: True, 3: False}
+        with pytest.raises(RamifiedPrimeError):
+            splits_completely(field, 2)
+        assert 2 not in field.splits and field.disc == 8
+        # an equal key that is not an int is refused as for a bare polynomial
+        with pytest.raises(TypeError):
+            splits_completely(field, 7.0)
 
 
 class TestHalfBound:

@@ -4,9 +4,10 @@ discriminant agrees with a Sylvester determinant over Fraction, the
 factorization mod p is a product of distinct
 irreducibles (checked by trial division), the gcd forms of the defect
 and of the split test agree with the factorization they replace, their
-refusals agree with the per-prime gcd(f, f') test, and the root finder
-agrees with numpy's companion-matrix roots and, bit for bit, with its
-exact-Fraction reference."""
+refusals agree with the per-prime gcd(f, f') test, a list, a tuple and
+one shared ``Field`` get the same answers in any order, and the root
+finder agrees with numpy's companion-matrix roots and, bit for bit,
+with its exact-Fraction reference."""
 import itertools
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import fraction_embeddings, poly_mul_mod, repeated_factor_mod_p, sylvester_discriminant
 from heckeslopes.numberfield import (
+    Field,
     _divmod,
     _gcd,
     _mod,
@@ -31,6 +33,7 @@ from heckeslopes.numberfield import (
     k_of_p,
     splits_completely,
     splitting_type,
+    weil_bound_check,
 )
 
 prime_st = st.sampled_from([p for p in range(2, 200) if is_prime(p)])
@@ -61,10 +64,31 @@ def poly_and_element(draw):
     return f, draw(st.lists(coeff_st, min_size=n, max_size=n))
 
 
+def _answer(question, f):
+    """The answer to ``question`` about ``f``, or the type it raises."""
+    try:
+        return question(f)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
 @settings(max_examples=300, deadline=None)
-@given(poly_and_element(), prime_st)
-def test_k_of_p_matches_factorization_oracle(fa, p):
+@given(poly_and_element(), prime_st, st.randoms(use_true_random=False))
+def test_k_of_p_matches_factorization_oracle(fa, p, rng):
     f, a = fa
+    # a list, a tuple and one shared Field, asked repeatedly in any order
+    questions = [
+        lambda f: k_of_p(a, f, p),
+        lambda f: splits_completely(f, p),
+        lambda f: weil_bound_check(a, f, p),
+    ]
+    answers = [_answer(q, list(f)) for q in questions]
+    assert [_answer(q, tuple(f)) for q in questions] == answers
+    field = Field(f)
+    order = list(range(len(questions))) * 3
+    rng.shuffle(order)
+    assert [_answer(questions[i], field) for i in order] == [answers[i] for i in order]
+
     if splitting_type(f, p).ramified:
         with pytest.raises(RamifiedPrimeError):
             k_of_p(a, f, p)

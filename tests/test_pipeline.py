@@ -401,12 +401,10 @@ class TestAnalysis:
         monkeypatch.setattr(SlopeMultiset, "leq_strict", counting("leq_strict", SlopeMultiset.leq_strict))
         # each discriminant is one Bareiss determinant
         monkeypatch.setattr(numberfield, "_bareiss_det", counting("_bareiss_det", numberfield._bareiss_det))
-        numberfield._discriminant.cache_clear()
         # no Weil check where nothing prints it; one root finding per Hecke
         # polynomial, however many primes the JSON report checks
         monkeypatch.setattr(numberfield, "embeddings", counting("embeddings", numberfield.embeddings))
         monkeypatch.setattr(pipeline, "weil_bound_check", counting("weil", pipeline.weil_bound_check))
-        numberfield._roots.cache_clear()
 
         records = load_forms(DATA / "golden_synth.json")
         analyses = [analyze_form(rec) for rec in records]
@@ -454,14 +452,36 @@ class TestPerFileSharing:
         from heckeslopes.cli import main
 
         calls = []
-        splits = numberfield.splits_completely
-        monkeypatch.setattr(pipeline, "splits_completely", lambda f, p: calls.append((f, p)) or splits(f, p))
+        pow_mod = numberfield._pow_mod
+        # during analyze only the split check raises x to the p-th power,
+        # once for each verdict it computes
+        monkeypatch.setattr(numberfield, "_pow_mod", lambda *args: calls.append(args[3]) or pow_mod(*args))
         path = DATA / "golden_synth.json"
         assert main(["analyze", str(path)]) == 0
         assert capsysbinary.readouterr().out == (DATA / "golden_synth.tsv").read_bytes()
         checks = [(rec.field_poly, e.p) for rec in load_forms(path) for e in rec.eigenvalues if e.split_in_F]
         assert (len(checks), len(set(checks))) == (284, 71)
-        assert sorted(calls) == sorted(set(checks))
+        assert sorted(calls) == sorted(p for _, p in set(checks))
+
+    def test_one_discriminant_per_polynomial_per_run(self, monkeypatch, capsysbinary):
+        from heckeslopes.cli import main
+
+        calls = []
+        det = numberfield._bareiss_det
+        monkeypatch.setattr(numberfield, "_bareiss_det", lambda mat: calls.append(len(mat)) or det(mat))
+        path = DATA / "golden_synth.json"
+        for _ in range(2):
+            assert main(["analyze", str(path)]) == 0
+            assert capsysbinary.readouterr().out == (DATA / "golden_synth.tsv").read_bytes()
+        records = load_forms(path)
+        polys = {
+            poly
+            for rec in records
+            if any(e.split_in_F for e in rec.eigenvalues)
+            for poly in (rec.hecke_poly, rec.field_poly)
+        }
+        # nothing outlives a run: the second computes each one again
+        assert len(calls) == 2 * len(polys) > 2
 
     def test_one_chain_per_distinct_action(self, monkeypatch, capsys):
         from heckeslopes import galois
@@ -490,6 +510,22 @@ class TestPerFileSharing:
         assert c.galois_action is not a.galois_action
         # each record alone builds its own
         assert record_from_dict(minimal_dict(**s3)).galois_action is not a.galois_action
+
+    def test_equal_polynomials_share_one_field(self):
+        quad = {"d": 2, "field_poly": [-5, 0, 1], "weight": [2, 2], "ap": []}
+        a, b, c = records_from_obj([
+            minimal_dict(label="a", hecke_poly=[-2, 0, 1], **quad),
+            minimal_dict(label="b", hecke_poly=[-2, 0, 1], **quad),
+            # its Hecke polynomial is the others' base polynomial
+            minimal_dict(label="c", hecke_poly=[-5, 0, 1], **quad),
+        ])
+        assert type(a.field_poly) is type(a.hecke_poly) is numberfield.Field
+        assert a.field_poly is b.field_poly is c.field_poly is c.hecke_poly
+        assert a.hecke_poly is b.hecke_poly and a.hecke_poly == (-2, 0, 1)
+        # each record alone builds its own
+        alone = record_from_dict(minimal_dict(hecke_poly=[-2, 0, 1], **quad))
+        assert alone == a._replace(label="demo.1")
+        assert alone.field_poly is not a.field_poly and alone.hecke_poly is not a.hecke_poly
 
     def test_each_generator_list_parsed_once(self, monkeypatch):
         parsed = []
