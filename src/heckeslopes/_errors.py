@@ -14,5 +14,7 @@ class DataError(ValueError):
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Raised when listing a group's elements would enumerate more
-    than the configured cap."""
+    """Raised when an invariant needs a walk over a group's elements, or
+    their list, and the group has more elements than the configured cap.
+    The closed forms of S_n and A_n, and lambda and lambda_min decided by
+    a full-cycle generator, need neither."""

@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--cap",
         type=int,
-        help="most elements to enumerate (default 10^6); S_n and A_n are never enumerated",
+        help="largest group order to walk (default 10^6); S_n and A_n have closed forms",
     )
     p.set_defaults(func=_cmd_slope)
 

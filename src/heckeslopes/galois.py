@@ -55,6 +55,14 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 10**6
+_POINT_RE = re.compile(r"[0-9]+")  # fullmatch: ASCII digits only, as every integer of the schema
+
+
+def _point(token: str) -> int:
+    token = token.strip()
+    if not _POINT_RE.fullmatch(token):
+        raise ValueError(f"bad point {token!r}")
+    return int(token)
 
 
 class Permutation:
@@ -85,7 +93,7 @@ class Permutation:
             if "".join(f"({c})" for c in cycles).replace(" ", "") != text.replace(" ", ""):
                 raise ValueError(f"malformed cycle notation: {text!r}")
             for cyc in cycles:
-                pts = [int(tok) for tok in cyc.replace(",", " ").split()]
+                pts = [_point(tok) for tok in cyc.replace(",", " ").split()]
                 if len(pts) != len(set(pts)):
                     raise ValueError(f"repeated point in cycle: ({cyc})")
                 for p in pts:
@@ -94,7 +102,7 @@ class Permutation:
                 for a, b in zip(pts, pts[1:] + pts[:1]):
                     images[a] = b
             return cls(images)
-        images = [int(tok) for tok in text.split(",")]
+        images = [_point(tok) for tok in text.split(",")]
         if len(images) != n:
             raise ValueError(
                 f"image list has length {len(images)}, expected degree {n}"

@@ -1,9 +1,12 @@
-"""The standard-library contract: every command and demo runs, and
-reproduces its golden output, in a fresh ``python -S`` process with this
-checkout's ``src`` alone on ``PYTHONPATH``.  ``-S`` skips ``site``, so no
-installed package can be imported.  Checks raise ``ContractError``, never
-``assert``, so ``python -O`` keeps them.  ``python tests/stdlib_contract.py``
-exits 1 naming each failed check; it uses only the standard library.
+"""The standard-library contract: what only a fresh ``python -S`` or
+``python -O`` process can show.  Each command and demo runs with this
+checkout's ``src`` alone on ``PYTHONPATH``; ``-S`` skips ``site``, so no
+installed package can be imported.  Comparisons that an in-process test
+already makes live in that test, where a failure says more; a command
+run here for its module loads also compares its stdout with its golden.
+Checks raise ``ContractError``, never ``assert``, so ``python -O`` keeps
+them.  ``python tests/stdlib_contract.py`` exits 1 naming each failed
+check; it uses only the standard library.
 """
 import json
 import os
@@ -58,13 +61,6 @@ def expect(proc, code=0, out=None, err=b""):
     return proc.stdout
 
 
-def one_line(proc, code, prefix):
-    """``proc`` exited with ``code``, no stdout and one stderr line starting ``prefix``."""
-    expect(proc, code, out=b"", err=None)
-    if proc.stderr.count(b"\n") != 1 or not proc.stderr.endswith(b"\n") or not proc.stderr.startswith(prefix):
-        raise ContractError(f"{shown(proc.args)}: stderr {proc.stderr!r} is not one line starting {prefix!r}")
-
-
 def golden(name):
     return (DATA / name).read_bytes()
 
@@ -86,48 +82,13 @@ def hidden_packages(tmp):
     expect(python(tmp, "-c", probe, "numpy", "scipy", "mpmath", "hypothesis"), out=b"\n")
 
 
-def golden_reports(tmp):
-    """analyze reproduces the golden reports; only the JSON report prints,
-    and so runs, the float Weil check."""
-    for fmt in ("tsv", "json"):
-        expect(cli(tmp, "analyze", "--format", fmt, FORMS), out=golden(f"golden_report.{fmt}"))
-    ap = [{"p": 3, "split_in_F": True, "a": ["1e309", "0"]}]
-    huge = write(tmp, "huge.json", dict(RECORD, label="huge", hecke_poly=[-2, 0, 1], ap=ap))
-    rows = [row.split("\t")[:5] for row in expect(cli(tmp, "analyze", huge)).decode().splitlines()[1:]]
-    if rows != [["huge", "3", "analyzed", "0", "true"]]:
-        raise ContractError(f"analyze {huge}: rows {rows}")
-    expect(cli(tmp, "analyze", "--format", "json", huge), code=2, out=b"", err=(
-        b"error: data: record 'huge', p=3: hecke_poly or a_p exceeds the float range of the Weil check\n"
-    ))
-
-
 def optimized_and_synth(tmp):
-    """analyze reproduces the golden reports under ``python -O`` (no check
-    may live in an assert), and the golden synth report, which runs every
-    exact kernel (discriminant, gcd mod p, leq), with and without it."""
+    """Under ``python -O`` (no check may live in an assert) analyze
+    reproduces the golden reports and the golden synth report, which runs
+    every exact kernel (discriminant, gcd mod p, leq)."""
     for fmt in ("tsv", "json"):
         expect(cli(tmp, "analyze", "--format", fmt, FORMS, flags=["-O"]), out=golden(f"golden_report.{fmt}"))
-    for flags in (["-O"], []):
-        expect(cli(tmp, "analyze", str(DATA / "golden_synth.json"), flags=flags), out=golden("golden_synth.tsv"))
-
-
-def classify_galois(tmp):
-    """classify reproduces the golden Galois classification."""
-    expect(cli(tmp, "classify", str(DATA / "golden_galois.json")), out=golden("golden_classify.tsv"))
-
-
-def s10_and_a10(tmp):
-    """classify and slope give S_10 and A_10 (10! and 10!/2 elements, more
-    than the closure cap of 10^6) their invariants."""
-    base = dict(RECORD, hecke_poly=[-1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1], galois_degree=10)
-    forms = write(tmp, "degree10.json", dict(base, label="S10", galois_gens=["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]),
-                  dict(base, label="A10", galois_gens=["(1 2 3 4 5 6 7 8 9)", "(0 1 2)"]))
-    expect(cli(tmp, "classify", forms), out=lines(
-        "S10 case=ZeroSlope bound_on_kp=0 density=abundant conditional_on=- note=k_f_circ-unknown",
-        "A10 case=SlopeBound bound_on_kp=1 density=abundant conditional_on=- note=k_f_circ-unknown",
-    ))
-    expect(cli(tmp, "slope", "--gens", "(0 1 2 3 4 5 6 7 8 9);(0 1)", "--n", "10"),
-           out=lines("lambda=10 sigma=0 bisecting=true bisecting_fraction=1/50", sep="\n"))
+    expect(cli(tmp, "analyze", str(DATA / "golden_synth.json"), flags=["-O"]), out=golden("golden_synth.tsv"))
 
 
 def wreath_metadata(tmp):
@@ -164,20 +125,6 @@ def wreath_metadata(tmp):
     expect(cli(tmp, "classify", undecided, timeout=10), code=2, out=b"", err=CAP_ERROR)
 
 
-def oversized_metadata(tmp):
-    """analyze and classify refuse, as one data error, a tST index past
-    4300 digits and Galois actions whose degree does not divide the Hecke
-    degree 4 (3 * 10^7 points once took gigabytes)."""
-    base = dict(RECORD, label="quartic", hecke_poly=[-1, -1, 0, 0, 1])
-    changes = {"tst": {"assumptions": ["tST(" + "9" * 5000 + ")"]},
-               "huge": {"galois_degree": 3 * 10**7, "galois_gens": ["()"]},
-               "five": {"galois_degree": 5, "galois_gens": ["(0 1 2 3)"]}}
-    for name, change in changes.items():
-        forms = write(tmp, f"{name}.json", dict(base, **change))
-        for command in ("analyze", "classify"):
-            one_line(cli(tmp, command, forms, timeout=10), 2, b"error: data: record 'quartic', field ")
-
-
 def large_slopes(tmp):
     """slope gives S_60 and A_60 their invariants in closed form (no
     histogram over p(60) = 966467 cycle types)."""
@@ -212,23 +159,20 @@ def demos(tmp):
             raise ContractError(f"{demo.name} printed nothing")
 
 
-def commands_run(tmp):
-    """classify, polygon and slope run; polygon prints through ``entry``."""
-    expect(cli(tmp, "classify", FORMS))
-    expect(cli(tmp, "polygon", "--op", "dual", "--a", "0,1"), out=b"-1,0\n")
-    expect(cli(tmp, "slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"))
-
-
-# the heckeslopes submodules each command loads, beyond _errors and cli
+# each command, the heckeslopes submodules it loads beyond _errors and
+# cli, and its stdout where a golden pins it (None: any)
 PIPELINE_LOADS = ["_arith", "galois", "numberfield", "pipeline", "polygon"]
 MODULE_LOADS = [
-    (["polygon", "--op", "dual", "--a", "0,1"], ["polygon"]),
-    (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ["_arith", "galois", "polygon"]),
-    (["classify", str(DATA / "golden_galois.json")], PIPELINE_LOADS),
-    (["classify", FORMS], PIPELINE_LOADS),
-    (["analyze", FORMS], PIPELINE_LOADS),
-    (["table", "--max-k", "3"], ["polygon", "satotate"]),
-    (["stc", "--k", "4", "--t", "2"], ["polygon", "satotate"]),
+    (["polygon", "--op", "dual", "--a", "0,1"], ["polygon"], b"-1,0\n"),
+    (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ["_arith", "galois", "polygon"], None),
+    (["classify", str(DATA / "golden_galois.json")], PIPELINE_LOADS, golden("golden_classify.tsv")),
+    (["classify", FORMS], PIPELINE_LOADS, None),
+    (["analyze", FORMS], PIPELINE_LOADS, golden("golden_report.tsv")),
+    (["table", "--max-k", "8"], ["polygon", "satotate"], golden("golden_table.tsv")),
+    (["stc", "--k", "4", "--t", "2"], ["polygon", "satotate"], (
+        b'{"abs_error": 7.126770501346521e-17, "k": 4, "method": "series", '
+        b'"samples_or_nodes": 6, "seed": null, "t": 2, "value": 0.3202429367885303}\n'
+    )),
 ]
 # a finder ahead of all others sees every attempt to import numpy, SciPy
 # or dataclasses, even one that -S makes fail and the code then catches
@@ -251,29 +195,15 @@ sys.exit(code)
 
 
 def modules(tmp):
-    """``import heckeslopes`` loads no submodule; each command runs and
-    loads exactly the submodules it needs, and none imports numpy, SciPy
-    or dataclasses."""
-    for argv, loads in MODULE_LOADS:
+    """``import heckeslopes`` loads no submodule; each command runs, prints
+    its golden and loads exactly the submodules it needs, and none imports
+    numpy, SciPy or dataclasses."""
+    for argv, loads, out in MODULE_LOADS:
         want = f"root [] loaded {sorted(['_errors', 'cli', *loads])} tried []\n".encode()
-        expect(python(tmp, "-c", MODULE_PROBE, *argv), err=want)
+        expect(python(tmp, "-c", MODULE_PROBE, *argv), out=out, err=want)
 
 
-def series_and_mc(tmp):
-    """table and stc print the series' exact bytes; ``--method mc`` is one usage line."""
-    expect(cli(tmp, "table", "--max-k", "8"), out=golden("golden_table.tsv"))
-    expect(cli(tmp, "stc", "--k", "4", "--t", "2"), out=(
-        b'{"abs_error": 7.126770501346521e-17, "k": 4, "method": "series", '
-        b'"samples_or_nodes": 6, "seed": null, "t": 2, "value": 0.3202429367885303}\n'
-    ))
-    for argv in (["stc", "--k", "3", "--t", "2", "--method", "mc"], ["table", "--method", "mc", "--max-k", "3"]):
-        one_line(cli(tmp, *argv), 1, b"error: usage: ")
-
-
-CHECKS = [
-    hidden_packages, golden_reports, optimized_and_synth, classify_galois, s10_and_a10, wreath_metadata,
-    oversized_metadata, large_slopes, chain_and_cap, demos, commands_run, modules, series_and_mc,
-]
+CHECKS = [hidden_packages, modules, optimized_and_synth, demos, wreath_metadata, large_slopes, chain_and_cap]
 
 
 def main():

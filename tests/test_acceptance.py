@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import elliptic_ap, primes_below, quadratic_defect
+from conftest import elliptic_ap, poly_mul_mod, primes_below, quadratic_defect
 from heckeslopes.galois import PermutationGroup
 from heckeslopes.numberfield import factor_mod_p, k_of_p
 from heckeslopes.pipeline import (
@@ -223,14 +223,6 @@ def test_criterion_4_group_fixtures():
 
 # ---------------------------------------------------------------- criterion 5
 
-def _poly_mul_mod(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
 def test_criterion_5_defect_oracles():
     t0 = time.perf_counter()
     mismatches = 0
@@ -271,7 +263,7 @@ def test_criterion_5_defect_oracles():
         prod = [1]
         for g, mult in factors:
             for _ in range(mult):
-                prod = _poly_mul_mod(prod, g, p)
+                prod = poly_mul_mod(prod, g, p)
         if prod != [c % p for c in f]:
             factor_failures += 1
 

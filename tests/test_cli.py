@@ -127,6 +127,10 @@ class TestPolygon:
             ["polygon", "--op", "dual", "--a", "1e999999999"],
             "bad multiset for --a: bad rational '1e999999999': exponent magnitude above 4300",
         ),
+        # int() would read the point 1_0 as 10
+        (["slope", "--gens", "(0 1_0)", "--n", "11"], "bad --gens: bad point '1_0'"),
+        # table has no --method: its Monte Carlo option is one usage line
+        (["table", "--method", "mc", "--max-k", "3"], "unrecognized arguments: --method mc"),
     ]
 
     @pytest.mark.parametrize(
@@ -214,6 +218,10 @@ class TestTailConstant:
         for argv, message in cases:
             code, out, err = run(capsys, ["stc"] + argv)
             assert (code, out, err) == (1, "", f"error: usage: {message}\n")
+        # mc is no method: one usage line, whose list of choices argparse words
+        code, out, err = run(capsys, ["stc", "--k", "3", "--t", "2", "--method", "mc"])
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: usage: argument --method: invalid choice: 'mc'")
 
 
 class TestTable:
@@ -511,11 +519,13 @@ class TestClassify:
 # files the JSON reader refuses with a RecursionError, a
 # UnicodeDecodeError (a UTF-16 byte-order mark) and Python's limit of
 # 4300 digits on integer strings (3.11 on; 3.10 reads the integer and
-# the record check refuses it)
+# the record check refuses it), and a Galois generator whose point is
+# the Arabic-Indic digit one, which int() would read as 1
 MALFORMED_FILES = {
     "deep_nesting": b"[" * 100000 + b"]" * 100000,
     "utf16_bom": b"\xff\xfe[\x00]\x00",
     "long_integer": b"[" + b"7" * 5000 + b"]",
+    "non_ascii_point": json.dumps([dict(FORM, galois_degree=2, galois_gens=["(0 \u0661)"])]).encode(),
 }
 
 

@@ -43,10 +43,17 @@ class TestPermutation:
         p = Permutation.parse("(1 2)", 4)
         assert p.images == (0, 2, 1, 3)
 
-    @pytest.mark.parametrize("bad", ["(0 1", "(0 0)", "(0 9)", "0,0,1", "0,1"])
-    def test_parse_rejects(self, bad):
+    # points are ASCII digits only, though int() reads 1_0 as 10, +0 as 0
+    # and the Arabic-Indic digit one as 1
+    PARSE_REJECTS = [
+        ("(0 1", 3), ("(0 0)", 3), ("(0 9)", 3), ("0,0,1", 3), ("0,1", 3),
+        ("(0 1_0)", 11), ("(+0 1)", 3), ("(0 \u0661)", 3), ("1_0,0,1,2,3,4,5,6,7,8,9", 11),
+    ]
+
+    @pytest.mark.parametrize("bad, n", PARSE_REJECTS, ids=[bad for bad, _ in PARSE_REJECTS])
+    def test_parse_rejects(self, bad, n):
         with pytest.raises(ValueError):
-            Permutation.parse(bad, 3)
+            Permutation.parse(bad, n)
 
     def test_str_round_trip(self):
         for text in ["(0 1)(2 3)", "(0 1 2 3)", "()"]:
