@@ -18,7 +18,6 @@ import argparse
 import sys
 
 from ._errors import ClosureCapExceeded, DataError, SchemaError
-from .polygon import SlopeMultiset, frobenius_polygon, vertices_payload
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -94,7 +93,9 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _parse_multiset(text: str, flag: str) -> SlopeMultiset:
+def _parse_multiset(text: str, flag: str):
+    from .polygon import SlopeMultiset
+
     try:
         return SlopeMultiset.from_string(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -102,6 +103,8 @@ def _parse_multiset(text: str, flag: str) -> SlopeMultiset:
 
 
 def _cmd_polygon(args) -> int:
+    from .polygon import frobenius_polygon, vertices_payload
+
     op = args.op
     if op in ("oplus", "otimes", "leq"):
         _require(args.a is not None and args.b is not None, f"--op {op} needs --a and --b")

@@ -1,8 +1,9 @@
 """Permutation actions and the orbit invariants they induce.
 
 A finite group acting on ``n`` points is given by generator
-permutations.  The invariants exposed here are the ones controlling
-slope bounds for eigenvalue fields:
+permutations, each the tuple of its images (as a ``numberfield.Field``
+is the tuple of its coefficients).  The invariants exposed here are
+the ones controlling slope bounds for eigenvalue fields:
 
 * ``max_orbit_length``  -- largest orbit length any single element
   achieves (over the group: the supremum of per-element maxima),
@@ -65,16 +66,20 @@ def _point(token: str) -> int:
     return int(token)
 
 
-class Permutation:
-    """Permutation of ``{0, ..., n-1}`` stored as its image tuple."""
+class Permutation(tuple):
+    """Permutation of ``{0, ..., n-1}`` as the tuple of its images
+    (Seress, *Permutation Group Algorithms*, 2003): like a ``Field``, it
+    compares, hashes and orders as that tuple."""
 
-    __slots__ = ("_images",)
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
-        self._images = images
+    def __new__(cls, images: Iterable[int]) -> Permutation:
+        if isinstance(images, Permutation):
+            return images
+        self = super().__new__(cls, images)
+        if sorted(self) != list(range(len(self))):
+            raise ValueError(f"not a permutation of 0..{len(self) - 1}: {tuple(self)!r}")
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -83,7 +88,8 @@ class Permutation:
     @classmethod
     def parse(cls, text: str, n: int) -> "Permutation":
         """Parse either cycle notation ``"(0 1)(2 3)"`` (points absent
-        from every cycle are fixed) or an image list ``"1,0,3,2"``."""
+        from every cycle are fixed, and no point is in two cycles) or an
+        image list ``"1,0,3,2"``."""
         text = text.strip()
         if not text or text == "()":
             return cls.identity(n)
@@ -92,13 +98,15 @@ class Permutation:
             cycles = re.findall(r"\(([^()]*)\)", text)
             if "".join(f"({c})" for c in cycles).replace(" ", "") != text.replace(" ", ""):
                 raise ValueError(f"malformed cycle notation: {text!r}")
+            seen: set[int] = set()
             for cyc in cycles:
                 pts = [_point(tok) for tok in cyc.replace(",", " ").split()]
-                if len(pts) != len(set(pts)):
-                    raise ValueError(f"repeated point in cycle: ({cyc})")
                 for p in pts:
+                    if p in seen:
+                        raise ValueError(f"repeated point {p} in {text!r}")
                     if not 0 <= p < n:
                         raise ValueError(f"point {p} out of range for degree {n}")
+                    seen.add(p)
                 for a, b in zip(pts, pts[1:] + pts[:1]):
                     images[a] = b
             return cls(images)
@@ -109,63 +117,41 @@ class Permutation:
             )
         return cls(images)
 
-    @property
-    def degree(self) -> int:
-        return len(self._images)
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self._images
-
-    def __call__(self, i: int) -> int:
-        return self._images[i]
+    degree = property(len)
+    images = property(tuple)
+    __call__ = tuple.__getitem__
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition ``(self * other)(x) = self(other(x))``."""
-        if self.degree != other.degree:
+        if len(self) != len(other):
             raise ValueError("degree mismatch")
-        return Permutation(self._images[j] for j in other._images)
+        return Permutation([self[j] for j in other])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._images)
-        for i, j in enumerate(self._images):
-            inv[j] = i
-        return Permutation(inv)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self._images == other._images
-
-    def __hash__(self) -> int:
-        return hash(self._images)
+        # the points ordered by their images: i lands at position self[i]
+        return Permutation(sorted(range(len(self)), key=self.__getitem__))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits in cycle form, each rotated to start at its minimum,
         sorted by that minimum.  Fixed points appear as 1-cycles."""
-        seen = [False] * self.degree
+        seen = [False] * len(self)
         out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self._images[start]
-            while j != start:
+        for start in range(len(self)):
+            j, cyc = start, []
+            while not seen[j]:
                 seen[j] = True
                 cyc.append(j)
-                j = self._images[j]
-            out.append(tuple(cyc))
+                j = self[j]
+            if cyc:
+                out.append(tuple(cyc))
         return tuple(out)
 
     def __str__(self) -> str:
         nontrivial = [c for c in self.cycles() if len(c) > 1]
-        if not nontrivial:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in nontrivial)
+        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in nontrivial) or "()"
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self._images)!r})"
+        return f"Permutation({list(self)!r})"
 
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of orbit lengths, sorted increasingly."""
@@ -234,7 +220,7 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
                     add(k + 1, schreier)
 
     for g in generators:
-        add(0, g)
+        add(0, tuple(g))  # CPython specializes indexing for exact tuples only
     return reps
 
 
@@ -287,7 +273,8 @@ def _walk_summary(reps: list[dict], degree: int) -> tuple[int, int, int]:
 
 
 class PermutationGroup:
-    """Group of permutations of ``{0, ..., n-1}`` given by generators.
+    """Group of permutations of ``{0, ..., n-1}`` given by generators,
+    ``Permutation``s or plain image tuples, each checked on the way in.
 
     One cached stabilizer chain serves the group: ``order`` is the
     product of its transversal sizes, and ``elements`` lists the
@@ -309,7 +296,7 @@ class PermutationGroup:
     def __init__(
         self,
         degree: int,
-        generators: Iterable[Permutation] = (),
+        generators: Iterable[Iterable[int]] = (),
         cap: int = DEFAULT_CLOSURE_CAP,
     ):
         if degree < 1:
@@ -317,12 +304,9 @@ class PermutationGroup:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self.degree = degree
-        gens = []
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
-            gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(map(Permutation, generators))
+        if any(len(g) != degree for g in self.generators):
+            raise ValueError("generator degree mismatch")
         self._cap = cap
         self._reps: Optional[list[dict]] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
@@ -353,13 +337,16 @@ class PermutationGroup:
                     getters = [itemgetter(*u) for u, _ in level.values()]
                     products = [get(p) for get in getters for p in products]
             products.sort()
-            self._elements = tuple(map(Permutation, products))
+            # in place, freeing each plain tuple; products need no check
+            for i, p in enumerate(products):
+                products[i] = tuple.__new__(Permutation, p)
+            self._elements = tuple(products)
         return self._elements
 
     @property
     def order(self) -> int:
         if self._reps is None:
-            self._reps = _chain(self.degree, [g.images for g in self.generators])
+            self._reps = _chain(self.degree, self.generators)
         return prod(map(len, self._reps))
 
     def _check_cap(self) -> None:

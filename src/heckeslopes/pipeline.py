@@ -336,7 +336,7 @@ def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = N
                 gens = [Permutation.parse(s, degree) for s in gens_raw]
             except ValueError as exc:
                 _fail(label, "galois_gens", str(exc))
-            key = (degree, tuple(g.images for g in gens))
+            key = (degree, tuple(gens))
             galois_action = shared[raw_key] = shared.setdefault(key, PermutationGroup(degree, gens))
 
     interact = None

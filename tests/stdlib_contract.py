@@ -164,12 +164,12 @@ def demos(tmp):
 PIPELINE_LOADS = ["_arith", "galois", "numberfield", "pipeline", "polygon"]
 MODULE_LOADS = [
     (["polygon", "--op", "dual", "--a", "0,1"], ["polygon"], b"-1,0\n"),
-    (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ["_arith", "galois", "polygon"], None),
+    (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ["_arith", "galois"], None),
     (["classify", str(DATA / "golden_galois.json")], PIPELINE_LOADS, golden("golden_classify.tsv")),
     (["classify", FORMS], PIPELINE_LOADS, None),
     (["analyze", FORMS], PIPELINE_LOADS, golden("golden_report.tsv")),
-    (["table", "--max-k", "8"], ["polygon", "satotate"], golden("golden_table.tsv")),
-    (["stc", "--k", "4", "--t", "2"], ["polygon", "satotate"], (
+    (["table", "--max-k", "8"], ["satotate"], golden("golden_table.tsv")),
+    (["stc", "--k", "4", "--t", "2"], ["satotate"], (
         b'{"abs_error": 7.126770501346521e-17, "k": 4, "method": "series", '
         b'"samples_or_nodes": 6, "seed": null, "t": 2, "value": 0.3202429367885303}\n'
     )),

@@ -131,6 +131,8 @@ class TestPolygon:
         (["slope", "--gens", "(0 1_0)", "--n", "11"], "bad --gens: bad point '1_0'"),
         # table has no --method: its Monte Carlo option is one usage line
         (["table", "--method", "mc", "--max-k", "3"], "unrecognized arguments: --method mc"),
+        # the later cycle would overwrite point 2's image: read as (0 2 1)
+        (["slope", "--gens", "(0 1 2)(2 1 0)", "--n", "3"], "bad --gens: repeated point 2 in '(0 1 2)(2 1 0)'"),
     ]
 
     @pytest.mark.parametrize(
@@ -526,6 +528,7 @@ MALFORMED_FILES = {
     "utf16_bom": b"\xff\xfe[\x00]\x00",
     "long_integer": b"[" + b"7" * 5000 + b"]",
     "non_ascii_point": json.dumps([dict(FORM, galois_degree=2, galois_gens=["(0 \u0661)"])]).encode(),
+    "point_in_two_cycles": json.dumps([dict(FORM, galois_degree=2, galois_gens=["(0)(0 1)"])]).encode(),
 }
 
 

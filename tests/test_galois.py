@@ -48,12 +48,20 @@ class TestPermutation:
     PARSE_REJECTS = [
         ("(0 1", 3), ("(0 0)", 3), ("(0 9)", 3), ("0,0,1", 3), ("0,1", 3),
         ("(0 1_0)", 11), ("(+0 1)", 3), ("(0 \u0661)", 3), ("1_0,0,1,2,3,4,5,6,7,8,9", 11),
+        # a point in two cycles, which the later cycle would overwrite
+        ("(0 1 2)(2 1 0)", 3), ("(0 1)(0 1)", 2), ("(0)(0)", 1),
     ]
 
     @pytest.mark.parametrize("bad, n", PARSE_REJECTS, ids=[bad for bad, _ in PARSE_REJECTS])
     def test_parse_rejects(self, bad, n):
         with pytest.raises(ValueError):
             Permutation.parse(bad, n)
+
+    def test_is_its_image_tuple(self):
+        p = Permutation((1, 0))
+        assert isinstance(p, tuple) and p == (1, 0) and hash(p) == hash((1, 0))
+        assert (len(p), p[0], list(p)) == (2, 1, [1, 0]) and p.images == (1, 0)
+        assert sorted([Permutation((1, 0)), Permutation((0, 1))]) == [(0, 1), (1, 0)]
 
     def test_str_round_trip(self):
         for text in ["(0 1)(2 3)", "(0 1 2 3)", "()"]:
@@ -131,6 +139,25 @@ class TestGroupClosure:
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
             PermutationGroup(3, [Permutation.parse("(0 1)", 4)])
+
+    def test_plain_image_tuples_are_checked(self):
+        group = PermutationGroup(3, [(1, 0, 2)])
+        assert group.generators == (Permutation((1, 0, 2)),) and group.order == 2
+        for gens in ([(0, 0, 1)], [(1, 0)]):
+            with pytest.raises(ValueError):
+                PermutationGroup(3, gens)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PermutationGroup(0), "degree must be >= 1"),
+            (lambda: Permutation((1, 0)) * Permutation((0, 2, 1)), "degree mismatch"),
+        ],
+        ids=["degree-0", "product-of-degrees-2-and-3"],
+    )
+    def test_refusals(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     @settings(deadline=None)
     @given(
@@ -421,6 +448,15 @@ class TestBlockAction:
     def test_bad_cover_rejected(self):
         with pytest.raises(ValueError):
             KLEIN.block_action([[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [([], "empty partition"), ([[0, 1]], "must partition all points")],
+        ids=["empty", "misses-2-and-3"],
+    )
+    def test_partial_partition_rejected(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            KLEIN.block_action(blocks)
 
     def test_semistability_on_random_block_groups(self):
         # groups built to preserve the partition {0,1}{2,3}{4,5}: block

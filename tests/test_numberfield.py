@@ -364,6 +364,21 @@ class TestHalfBound:
         assert half_bound_check(k_p, k_f, p) == expect
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: k_of_p((1, 1, 1), SQRT2, 7), "element has 3 coordinates, field degree is 2"),
+        (lambda: weil_bound_check((1, 1), SQRT2, 7, weight=4), "weight must be 2 or 3"),
+        (lambda: half_bound_check(-1, 2, 5), "need k_p >= 0 and k_f >= 1"),
+    ],
+    ids=["k_of_p-length", "weil-weight-4", "half-bound-negative-k_p"],
+)
+def test_arguments_out_of_domain_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
 
 

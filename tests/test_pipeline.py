@@ -215,6 +215,9 @@ class TestSchema:
              "'ap[0].p': 318665857834031151167461 is not a prime"),
             (dict(ap=[{"p": 2**89 - 1, "split_in_F": True, "a": ["1"]}]),
              "'ap[0].p': 618970019642690137449562111 is too large"),
+            (dict(d=2), "'field_poly': degree 1 does not match d=2"),
+            (dict(ap=[{"p": 3, "split_in_F": True, "a": [1.5]}]), "entries must be rational strings or integers"),
+            (dict(ap=[{"p": 3, "split_in_F": True, "a": [True]}]), "entries must be rational strings or integers"),
         ],
     )
     def test_rejects_bad_records(self, mutation, fragment):
@@ -222,6 +225,20 @@ class TestSchema:
             record_from_dict(minimal_dict(**mutation))
         assert fragment in str(err.value)
         assert "demo.1" in str(err.value) or "record" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (["demo.1"], "record #0: not a JSON object"),
+            ({k: v for k, v in minimal_dict().items() if k != "cm"},
+             "record 'demo.1', field 'cm': required key missing"),
+        ],
+        ids=["not-an-object", "missing-key"],
+    )
+    def test_rejects_non_records(self, obj, message):
+        with pytest.raises(SchemaError) as err:
+            record_from_dict(obj)
+        assert str(err.value) == message
 
     def test_top_level_must_be_list(self):
         with pytest.raises(SchemaError):
@@ -363,6 +380,18 @@ class TestAnalysis:
                 field_poly=[-2, 0, 1],
                 weight=[2, 2],
                 ap=[{"p": 7, "split_in_F": True, "a": ["1"]}],
+            )
+        )
+        assert analyze_form(rec).reports[0].status == STATUS_ANALYZED
+
+    def test_split_claim_at_a_base_ramified_prime_is_accepted(self):
+        # x^2 - 5 is x^2 mod 5, a repeated factor: its roots cannot refute the claim
+        rec = record_from_dict(
+            minimal_dict(
+                d=2,
+                field_poly=[-5, 0, 1],
+                weight=[2, 2],
+                ap=[{"p": 5, "split_in_F": True, "a": ["1"]}],
             )
         )
         assert analyze_form(rec).reports[0].status == STATUS_ANALYZED
