@@ -12,7 +12,8 @@ cycles.  Two statistics of the action drive everything downstream:
 
 Run me directly:  python3 demos/02_galois_orbits.py
 """
-from heckeslopes.galois import FieldInteraction, PermutationGroup, interact_rules
+from heckeslopes.galois import PermutationGroup
+from heckeslopes.numberfield import FieldInteraction, interact_rules
 
 # Groups are generated from cycle strings; closure is computed (with a
 # safety cap) so you only ever name the generators.
@@ -54,8 +55,8 @@ quotient = d8.block_action(blocks)
 print()
 print("D8 on the 2 diagonals: order", quotient.order, " sigma", quotient.slope())
 
-# Finally, facts about a pair of fields sometimes pin the slope without
-# any group theory.  A degree-5 field over a quadratic base forces
+# Finally, facts about a pair of fields, which live with the fields in
+# numberfield, sometimes pin the slope without any group theory.  A degree-5 field over a quadratic base forces
 # orbits of full length (5 is prime and does not divide 2):
 facts = interact_rules(FieldInteraction(deg_K=5, deg_F=2))
 print()

@@ -9,7 +9,7 @@ error, 2 malformed data; errors go to stderr as single
 machine-parsable lines.  Output is byte-identical across runs.
 
 Each handler imports the layers it runs, so a command's cold start
-loads no other: ``polygon`` needs only ``polygon`` and ``_errors``.
+loads no other: ``polygon`` needs only ``polygon`` and the root.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._errors import ClosureCapExceeded, DataError, SchemaError
+from . import ClosureCapExceeded, DataError, SchemaError
 
 __all__ = ["main", "entry", "build_parser"]
 

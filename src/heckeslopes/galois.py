@@ -27,33 +27,23 @@ Each is read in the first of three tiers that decides it:
    shortest cycle and the bisecting count per product; no element list
    is kept (see ``PermutationGroup``).
 
-``interact_rules`` turns coarse invariants of a pair of number fields
-(degrees, Galois group shape, discriminants) into facts about how the
-action over the base field constrains slopes and bisections.
+Only groups live here; the facts that field metadata gives about them
+are ``numberfield.interact_rules``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
-from math import factorial, gcd, prod
+from itertools import chain
+from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-from ._arith import is_prime
-from ._errors import ClosureCapExceeded
+from . import ClosureCapExceeded
 
-__all__ = [
-    "Permutation",
-    "PermutationGroup",
-    "ClosureCapExceeded",
-    "FieldInteraction",
-    "interact_rules",
-    "FACT_SLOPE_ZERO_OVER_F",
-    "FACT_SLOPE_ZERO_OVER_F_TILDE",
-    "FACT_SLOPE_EQUALS_RATIONAL_BASE",
-    "FACT_BISECTION_TRANSFERS",
-]
+__all__ = ["Permutation", "PermutationGroup", "ClosureCapExceeded"]
 
 DEFAULT_CLOSURE_CAP = 10**6
 _POINT_RE = re.compile(r"[0-9]+")  # fullmatch: ASCII digits only, as every integer of the schema
@@ -77,7 +67,8 @@ class Permutation(tuple):
         if isinstance(images, Permutation):
             return images
         self = super().__new__(cls, images)
-        if sorted(self) != list(range(len(self))):
+        # by type first: True == 1 and 1.0 == 1 would pass the sort
+        if not all(type(i) is int for i in self) or sorted(self) != list(range(len(self))):
             raise ValueError(f"not a permutation of 0..{len(self) - 1}: {tuple(self)!r}")
         return self
 
@@ -224,51 +215,57 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
     return reps
 
 
+def _products(reps: list[dict], degree: int) -> Iterable[tuple[int, ...]]:
+    """Image tuples of the elements of the group whose chain is ``reps``,
+    each once: the products u_0 * u_1 * ... of one representative per
+    level (Seress §4.1), depth first over suffixes v * s =
+    ``itemgetter(*s)(v)``, with level 0 batched over each suffix.  The
+    trivial group yields the identity, so ``itemgetter`` only ever gets
+    two or more points and returns tuples."""
+    levels = [[u for u, _ in level.values()] for level in reps if len(level) > 1]
+    if not levels:
+        return (tuple(range(degree)),)
+
+    def walk(depth: int, suffix: tuple[int, ...]):
+        if depth:
+            for v in levels[depth]:
+                yield from walk(depth - 1, itemgetter(*suffix)(v))
+        else:
+            yield map(itemgetter(*suffix), levels[0])
+
+    return chain.from_iterable(walk(len(levels) - 1, tuple(range(degree))))
+
+
 def _walk_summary(reps: list[dict], degree: int) -> tuple[int, int, int]:
     """(longest cycle, largest shortest cycle, number of bisecting
-    elements) over the group whose chain is ``reps``, depth first over
-    the products u_0 * u_1 * ... of one representative per level
-    (Seress §4.1), each element once and none kept.  The walk builds
-    suffixes v * s = ``itemgetter(*s)(v)``, innermost over level 0.
-    Needs ``degree`` >= 2, so that ``itemgetter`` returns tuples; every
-    group on fewer points is S_n or A_n and is never walked."""
-    levels = [[u for u, _ in level.values()] for level in reps if len(level) > 1]
-    first, outer = (levels[0], levels[1:]) if levels else ([tuple(range(degree))], [])
+    elements) over the group whose chain is ``reps``, one pass over
+    ``_products`` that keeps no element."""
     half = degree // 2 if degree % 2 == 0 else 0
     lam = lam_min = bisecting = 0
-
-    def walk(depth: int, suffix: tuple[int, ...]) -> None:
-        nonlocal lam, lam_min, bisecting
-        if depth:
-            for v in outer[depth - 1]:
-                walk(depth - 1, itemgetter(*suffix)(v))
-            return
-        for g in map(itemgetter(*suffix), first):
-            seen = bytearray(degree)
-            low, high, cycles = degree, 0, 0
-            for start in range(degree):
-                if not seen[start]:
-                    seen[start] = 1
-                    j = g[start]
-                    length = 1
-                    while j != start:
-                        seen[j] = 1
-                        j = g[j]
-                        length += 1
-                    cycles += 1
-                    # plain comparisons: min() and max() double the walk's time
-                    if length < low:
-                        low = length
-                    if length > high:
-                        high = length
-            if high > lam:
-                lam = high
-            if low > lam_min:
-                lam_min = low
-            if cycles == 2 and high == half:
-                bisecting += 1
-
-    walk(len(outer), tuple(range(degree)))
+    for g in _products(reps, degree):
+        seen = bytearray(degree)
+        low, high, cycles = degree, 0, 0
+        for start in range(degree):
+            if not seen[start]:
+                seen[start] = 1
+                j = g[start]
+                length = 1
+                while j != start:
+                    seen[j] = 1
+                    j = g[j]
+                    length += 1
+                cycles += 1
+                # plain comparisons: min() and max() double the walk's time
+                if length < low:
+                    low = length
+                if length > high:
+                    high = length
+        if high > lam:
+            lam = high
+        if low > lam_min:
+            lam_min = low
+        if cycles == 2 and high == half:
+            bisecting += 1
     return lam, lam_min, bisecting
 
 
@@ -276,18 +273,18 @@ class PermutationGroup:
     """Group of permutations of ``{0, ..., n-1}`` given by generators,
     ``Permutation``s or plain image tuples, each checked on the way in.
 
-    One cached stabilizer chain serves the group: ``order`` is the
-    product of its transversal sizes, and ``elements`` lists the
-    products of one representative per transversal, sorted by image
-    tuple.  The orbit invariants come in three tiers.  A generator that
-    is a full cycle decides ``max_orbit_length`` and
-    ``max_min_orbit_length`` (both n) without the chain.  Otherwise, and
-    for the bisecting count, they read one cached summary of the cycle
-    types: closed forms when the order is n! or n!/2 (S_n, and A_n, the
-    only subgroup of index 2), otherwise one depth-first walk over the
-    transversal products that keeps three running values and lists
-    nothing.  The walk, ``elements`` and so ``element_fraction`` raise
-    ``ClosureCapExceeded`` when the order exceeds ``cap``, before
+    Like a ``Field``, the group computes on first use and keeps one
+    stabilizer chain, whose transversal sizes multiply to ``order``;
+    ``elements`` sorts the products of one representative per
+    transversal by image tuple.  The orbit invariants come in three
+    tiers.  A generator that is a full cycle decides
+    ``max_orbit_length`` and ``max_min_orbit_length`` (both n) without
+    the chain.  Otherwise, and for the bisecting count, they read one
+    kept summary of the cycle types: closed forms when the order is n!
+    or n!/2 (S_n, and A_n, the only subgroup of index 2), otherwise one
+    walk over the same products that keeps three running values and
+    lists nothing.  The walk, ``elements`` and so ``element_fraction``
+    raise ``ClosureCapExceeded`` when the order exceeds ``cap``, before
     walking or listing anything, so the cap bounds enumeration only.
     With no generators the group is trivial: the trivial action on 3
     points has slope 2/3.
@@ -308,9 +305,6 @@ class PermutationGroup:
         if any(len(g) != degree for g in self.generators):
             raise ValueError("generator degree mismatch")
         self._cap = cap
-        self._reps: Optional[list[dict]] = None
-        self._elements: Optional[tuple[Permutation, ...]] = None
-        self._summary: Optional[tuple[int, int, int]] = None
 
     @classmethod
     def parse(
@@ -324,29 +318,27 @@ class PermutationGroup:
         ]
         return cls(degree, gens, cap=cap)
 
+    @functools.cached_property
+    def _reps(self) -> list[dict]:
+        return _chain(self.degree, self.generators)
+
+    @functools.cached_property
+    def _elements(self) -> tuple[Permutation, ...]:
+        self._check_cap()
+        products = sorted(_products(self._reps, self.degree))
+        # in place, freeing each plain tuple; products need no check
+        for i, p in enumerate(products):
+            products[i] = tuple.__new__(Permutation, p)
+        return tuple(products)
+
     @property
     def elements(self) -> tuple[Permutation, ...]:
         """All group elements, deterministically ordered by image tuple;
         ``ClosureCapExceeded`` when there are more than the cap."""
-        if self._elements is None:
-            self._check_cap()
-            products = [tuple(range(self.degree))]
-            for level in self._reps:  # built by self.order
-                if len(level) > 1:
-                    # itemgetter(*u)(p) is the image tuple of p * u
-                    getters = [itemgetter(*u) for u, _ in level.values()]
-                    products = [get(p) for get in getters for p in products]
-            products.sort()
-            # in place, freeing each plain tuple; products need no check
-            for i, p in enumerate(products):
-                products[i] = tuple.__new__(Permutation, p)
-            self._elements = tuple(products)
         return self._elements
 
     @property
     def order(self) -> int:
-        if self._reps is None:
-            self._reps = _chain(self.degree, self.generators)
         return prod(map(len, self._reps))
 
     def _check_cap(self) -> None:
@@ -356,26 +348,24 @@ class PermutationGroup:
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
+    @functools.cached_property
     def _orbit_summary(self) -> tuple[int, int, int]:
         """(largest orbit length, largest shortest-orbit length, number
         of bisecting elements) over the elements of the group."""
-        if self._summary is None:
-            n, order = self.degree, self.order
-            full = factorial(n)
-            # for even n, S_n has n!/z = 2(n-1)!/n elements of cycle type
-            # (n/2, n/2), z = (n/2)^2 * 2!, all of them even
-            bisecting = 2 * full // n**2 if n % 2 == 0 else 0
-            if order == full or (2 * order == full and n % 2):
-                # S_n, or A_n with n odd: an n-cycle is in the group
-                self._summary = (n, n, bisecting)
-            elif 2 * order == full:
-                # A_n with n even: n-cycles are odd, while the (n-1)-cycles
-                # and the type (n/2, n/2) are even
-                self._summary = (n - 1, n // 2, bisecting)
-            else:
-                self._check_cap()
-                self._summary = _walk_summary(self._reps, n)
-        return self._summary
+        n, order = self.degree, self.order
+        full = factorial(n)
+        # for even n, S_n has n!/z = 2(n-1)!/n elements of cycle type
+        # (n/2, n/2), z = (n/2)^2 * 2!, all of them even
+        bisecting = 2 * full // n**2 if n % 2 == 0 else 0
+        if order == full or (2 * order == full and n % 2):
+            # S_n, or A_n with n odd: an n-cycle is in the group
+            return n, n, bisecting
+        if 2 * order == full:
+            # A_n with n even: n-cycles are odd, while the (n-1)-cycles
+            # and the type (n/2, n/2) are even
+            return n - 1, n // 2, bisecting
+        self._check_cap()
+        return _walk_summary(self._reps, n)
 
     def _has_full_cycle_generator(self) -> bool:
         """Generator evidence: an n-cycle makes both orbit lengths n."""
@@ -387,14 +377,14 @@ class PermutationGroup:
         """Largest orbit length achieved by any element."""
         if self._has_full_cycle_generator():
             return self.degree
-        return self._orbit_summary()[0]
+        return self._orbit_summary[0]
 
     def max_min_orbit_length(self) -> int:
         """Supremum over elements of that element's *shortest* orbit
         length (equals n exactly when some element is an n-cycle)."""
         if self._has_full_cycle_generator():
             return self.degree
-        return self._orbit_summary()[1]
+        return self._orbit_summary[1]
 
     def slope(self) -> Fraction:
         """``1 - max_orbit_length()/degree``; in [0, 1), and 0 exactly
@@ -407,7 +397,7 @@ class PermutationGroup:
         return 1 - Fraction(self.max_min_orbit_length(), self.degree)
 
     def has_bisecting(self) -> bool:
-        return self._orbit_summary()[2] > 0
+        return self._orbit_summary[2] > 0
 
     def element_fraction(self, predicate: Callable[[Permutation], bool]) -> Fraction:
         """Exact fraction of elements satisfying ``predicate`` — the
@@ -417,7 +407,7 @@ class PermutationGroup:
         return Fraction(hits, self.order)
 
     def bisecting_fraction(self) -> Fraction:
-        return Fraction(self._orbit_summary()[2], self.order)
+        return Fraction(self._orbit_summary[2], self.order)
 
     # -- induced actions -------------------------------------------------
 
@@ -457,93 +447,3 @@ class PermutationGroup:
                 images.append(targets.pop())
             induced.append(Permutation(images))
         return PermutationGroup(len(blocks), induced, cap=self._cap)
-
-
-# -- field interaction facts -------------------------------------------
-
-FACT_SLOPE_ZERO_OVER_F = "slope_zero_over_F"
-FACT_SLOPE_ZERO_OVER_F_TILDE = "slope_zero_over_F_tilde"
-FACT_SLOPE_EQUALS_RATIONAL_BASE = "slope_equals_rational_base"
-FACT_BISECTION_TRANSFERS = "bisection_transfers"
-
-GROUP_KINDS = ("symmetric", "alternating", "cyclic", "klein", "dihedral", "other")
-
-
-class _FieldInteractionFields(NamedTuple):
-    deg_K: Optional[int] = None
-    deg_F: Optional[int] = None
-    deg_F_tilde: Optional[int] = None
-    galois_group_kind: Optional[str] = None
-    disc_K: Optional[int] = None
-    disc_F: Optional[int] = None
-
-
-class FieldInteraction(_FieldInteractionFields):
-    """Coarse invariants of a coefficient field K over a base field F.
-
-    ``deg_K``/``deg_F`` are the absolute degrees, ``deg_F_tilde`` the
-    degree of the Galois closure of F, ``galois_group_kind`` (one of
-    ``GROUP_KINDS``) the shape of Gal of the closure of K, and the
-    discriminants are of K and F.  Degrees and discriminants are
-    integers (not bools), degrees positive; anything else raises
-    ``ValueError``, also from ``_make`` and ``_replace``.  Unknown
-    entries stay ``None`` and simply disable the rules that need them.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, which _replace calls, would skip __new__
-        return cls(*iterable)
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.galois_group_kind is not None and self.galois_group_kind not in GROUP_KINDS:
-            raise ValueError(f"unknown galois_group_kind: {self.galois_group_kind!r}")
-        for name in ("deg_K", "deg_F", "deg_F_tilde", "disc_K", "disc_F"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name.startswith("deg_") and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        return self
-
-
-def interact_rules(meta: FieldInteraction) -> frozenset[str]:
-    """Derive slope/bisection facts from field invariants.
-
-    Three independent rules fire:
-
-    1. ``deg_K`` a prime not dividing ``deg_F``: the full cycle survives
-       restriction, so the slope over F is zero.
-    2. Galois group of K symmetric and ``deg_F_tilde`` odd: the slope
-       over the Galois closure of F is zero.
-    3. ``|disc_K|`` and ``|disc_F|`` coprime: the fields are linearly
-       disjoint, so the slope over F equals the slope over the
-       rationals and bisecting elements transfer.
-    """
-    facts = set()
-    if (
-        meta.deg_K is not None
-        and meta.deg_F is not None
-        and is_prime(meta.deg_K)
-        and meta.deg_F % meta.deg_K != 0
-    ):
-        facts.add(FACT_SLOPE_ZERO_OVER_F)
-    if (
-        meta.galois_group_kind == "symmetric"
-        and meta.deg_F_tilde is not None
-        and meta.deg_F_tilde % 2 == 1
-    ):
-        facts.add(FACT_SLOPE_ZERO_OVER_F_TILDE)
-    if (
-        meta.disc_K is not None
-        and meta.disc_F is not None
-        and gcd(abs(meta.disc_K), abs(meta.disc_F)) == 1
-    ):
-        facts.add(FACT_SLOPE_EQUALS_RATIONAL_BASE)
-        facts.add(FACT_BISECTION_TRANSFERS)
-    return frozenset(facts)

@@ -34,14 +34,18 @@ factors out, with randomized equal-degree splitting.  The draws come
 from a fixed ``random.Random(0)`` stream, and the sorted factor list
 does not depend on them anyway.
 
-Every modulus ``p`` must be prime (``ValueError`` otherwise), and
-``is_prime`` refuses, also with ``ValueError``, to decide p >= 3.3e24.
+Every modulus ``p`` must be an ``int`` (``TypeError`` otherwise) and
+prime (``ValueError`` otherwise), and ``is_prime`` refuses, also with
+``ValueError``, to decide p >= 3.3e24.
 
 ``embeddings`` (behind ``weil_bound_check``) uses only the standard
 library.  It certifies real roots to 1e-9 relative by an exact sign
 change, evaluated in integers at the floats' exact ratios; complex
 roots and the Weil comparison are floating point, and found once per
 ``Field``: a caller asking many questions of one field passes one Field.
+
+``interact_rules`` turns a ``FieldInteraction`` (degrees, Galois group
+shape and discriminants of two fields) into facts that bound slopes.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ import cmath
 import functools
 import random
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
-
-from ._arith import is_prime
+from math import gcd
+from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "Field",
@@ -70,6 +73,12 @@ __all__ = [
     "discriminant",
     "embeddings",
     "is_prime",
+    "FieldInteraction",
+    "interact_rules",
+    "FACT_SLOPE_ZERO_OVER_F",
+    "FACT_SLOPE_ZERO_OVER_F_TILDE",
+    "FACT_SLOPE_EQUALS_RATIONAL_BASE",
+    "FACT_BISECTION_TRANSFERS",
 ]
 
 IntPoly = Sequence[int]
@@ -109,6 +118,52 @@ class Field(tuple):
     @functools.cached_property
     def splits(self) -> dict[int, bool]:
         return {}
+
+
+# ---------------------------------------------------------------------
+# primality
+
+# The first 13 primes: trial divisors, then strong-probable-prime bases.
+# Together they decide primality for every n below psi_13 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017).  The first 12 alone are fooled by
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+@functools.lru_cache(maxsize=1024, typed=True)  # typed: 1.0 must not find True
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3317044064679887385961981
+    (about 3.3e24); larger n raise ``ValueError`` instead of a guess,
+    and an ``n`` that is not an ``int`` raises ``TypeError``.  Cached,
+    since ``k_of_p`` and ``splits_completely`` ask again for the same
+    few primes on every call."""
+    if not isinstance(n, int):
+        raise TypeError(f"is_prime needs an int, got {n!r} ({type(n).__name__})")
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is too large to test for primality (the limit is {_PSI_13})")
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------
@@ -547,3 +602,94 @@ def half_bound_check(k_p: int, k_f: int, p: int) -> str:
     if p <= 2 ** (2 * k_f):
         return "not_applicable"
     return "pass" if 2 * k_p <= k_f else "fail"
+
+
+# ---------------------------------------------------------------------
+# field interaction facts
+
+FACT_SLOPE_ZERO_OVER_F = "slope_zero_over_F"
+FACT_SLOPE_ZERO_OVER_F_TILDE = "slope_zero_over_F_tilde"
+FACT_SLOPE_EQUALS_RATIONAL_BASE = "slope_equals_rational_base"
+FACT_BISECTION_TRANSFERS = "bisection_transfers"
+
+GROUP_KINDS = ("symmetric", "alternating", "cyclic", "klein", "dihedral", "other")
+
+
+class _FieldInteractionFields(NamedTuple):
+    deg_K: Optional[int] = None
+    deg_F: Optional[int] = None
+    deg_F_tilde: Optional[int] = None
+    galois_group_kind: Optional[str] = None
+    disc_K: Optional[int] = None
+    disc_F: Optional[int] = None
+
+
+class FieldInteraction(_FieldInteractionFields):
+    """Coarse invariants of a coefficient field K over a base field F.
+
+    ``deg_K``/``deg_F`` are the absolute degrees, ``deg_F_tilde`` the
+    degree of the Galois closure of F, ``galois_group_kind`` (one of
+    ``GROUP_KINDS``) the shape of Gal of the closure of K, and the
+    discriminants are of K and F.  Degrees and discriminants are
+    integers (not bools), degrees positive; anything else raises
+    ``ValueError``, also from ``_make`` and ``_replace``.  Unknown
+    entries stay ``None`` and simply disable the rules that need them.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.galois_group_kind is not None and self.galois_group_kind not in GROUP_KINDS:
+            raise ValueError(f"unknown galois_group_kind: {self.galois_group_kind!r}")
+        for name in ("deg_K", "deg_F", "deg_F_tilde", "disc_K", "disc_F"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name.startswith("deg_") and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        return self
+
+
+def interact_rules(meta: FieldInteraction) -> frozenset[str]:
+    """Derive slope/bisection facts from field invariants.
+
+    Three independent rules fire:
+
+    1. ``deg_K`` a prime not dividing ``deg_F``: the full cycle survives
+       restriction, so the slope over F is zero.
+    2. Galois group of K symmetric and ``deg_F_tilde`` odd: the slope
+       over the Galois closure of F is zero.
+    3. ``|disc_K|`` and ``|disc_F|`` coprime: the fields are linearly
+       disjoint, so the slope over F equals the slope over the
+       rationals and bisecting elements transfer.
+    """
+    facts = set()
+    if (
+        meta.deg_K is not None
+        and meta.deg_F is not None
+        and is_prime(meta.deg_K)
+        and meta.deg_F % meta.deg_K != 0
+    ):
+        facts.add(FACT_SLOPE_ZERO_OVER_F)
+    if (
+        meta.galois_group_kind == "symmetric"
+        and meta.deg_F_tilde is not None
+        and meta.deg_F_tilde % 2 == 1
+    ):
+        facts.add(FACT_SLOPE_ZERO_OVER_F_TILDE)
+    if (
+        meta.disc_K is not None
+        and meta.disc_F is not None
+        and gcd(abs(meta.disc_K), abs(meta.disc_F)) == 1
+    ):
+        facts.add(FACT_SLOPE_EQUALS_RATIONAL_BASE)
+        facts.add(FACT_BISECTION_TRANSFERS)
+    return frozenset(facts)

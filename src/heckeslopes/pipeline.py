@@ -45,20 +45,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._errors import DataError, SchemaError
-from .galois import (
+from . import DataError, SchemaError
+from .galois import Permutation, PermutationGroup
+from .numberfield import (
     FACT_SLOPE_ZERO_OVER_F,
     FACT_SLOPE_ZERO_OVER_F_TILDE,
-    FieldInteraction,
-    Permutation,
-    PermutationGroup,
-    interact_rules,
-)
-from .numberfield import (
     Field,
+    FieldInteraction,
     IndexWarningError,
     RamifiedPrimeError,
     half_bound_check,
+    interact_rules,
     is_prime,
     k_of_p,
     splits_completely,

@@ -159,25 +159,29 @@ def demos(tmp):
             raise ContractError(f"{demo.name} printed nothing")
 
 
-# each command, the heckeslopes submodules it loads beyond _errors and
-# cli, and its stdout where a golden pins it (None: any)
-PIPELINE_LOADS = ["_arith", "galois", "numberfield", "pipeline", "polygon"]
+# each command (argv after "cli") and each bare import of a layer, the
+# heckeslopes submodules it loads, and its stdout where a golden pins it
+# (None: any)
+PIPELINE_LOADS = ["galois", "numberfield", "pipeline", "polygon"]
+ANALYSIS_LOADS = ["cli", *PIPELINE_LOADS]
 MODULE_LOADS = [
-    (["polygon", "--op", "dual", "--a", "0,1"], ["polygon"], b"-1,0\n"),
-    (["slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ["_arith", "galois"], None),
-    (["classify", str(DATA / "golden_galois.json")], PIPELINE_LOADS, golden("golden_classify.tsv")),
-    (["classify", FORMS], PIPELINE_LOADS, None),
-    (["analyze", FORMS], PIPELINE_LOADS, golden("golden_report.tsv")),
-    (["table", "--max-k", "8"], ["satotate"], golden("golden_table.tsv")),
-    (["stc", "--k", "4", "--t", "2"], ["satotate"], (
+    (["cli", "polygon", "--op", "dual", "--a", "0,1"], ["cli", "polygon"], b"-1,0\n"),
+    (["cli", "slope", "--gens", "(0 1 2 3);(0 2)", "--n", "4"], ["cli", "galois"], None),
+    (["cli", "classify", str(DATA / "golden_galois.json")], ANALYSIS_LOADS, golden("golden_classify.tsv")),
+    (["cli", "classify", FORMS], ANALYSIS_LOADS, None),
+    (["cli", "analyze", FORMS], ANALYSIS_LOADS, golden("golden_report.tsv")),
+    (["cli", "table", "--max-k", "8"], ["cli", "satotate"], golden("golden_table.tsv")),
+    (["cli", "stc", "--k", "4", "--t", "2"], ["cli", "satotate"], (
         b'{"abs_error": 7.126770501346521e-17, "k": 4, "method": "series", '
         b'"samples_or_nodes": 6, "seed": null, "t": 2, "value": 0.3202429367885303}\n'
     )),
+    *(([layer], [layer], b"") for layer in ("polygon", "galois", "numberfield", "satotate")),
+    (["pipeline"], PIPELINE_LOADS, b""),
 ]
 # a finder ahead of all others sees every attempt to import numpy, SciPy
 # or dataclasses, even one that -S makes fail and the code then catches
 MODULE_PROBE = """
-import sys
+import importlib, sys
 tried = []
 class Probe:
     def find_spec(name, path=None, target=None):
@@ -186,8 +190,8 @@ class Probe:
 sys.meta_path.insert(0, Probe)
 import heckeslopes
 root = [m for m in sys.modules if m.startswith("heckeslopes.")]
-from heckeslopes.cli import main
-code = main(sys.argv[1:])
+layer = importlib.import_module("heckeslopes." + sys.argv[1])
+code = layer.main(sys.argv[2:]) if sys.argv[1] == "cli" else 0
 loaded = sorted(m[12:] for m in sys.modules if m.startswith("heckeslopes."))
 print("root", root, "loaded", loaded, "tried", tried, file=sys.stderr)
 sys.exit(code)
@@ -196,10 +200,11 @@ sys.exit(code)
 
 def modules(tmp):
     """``import heckeslopes`` loads no submodule; each command runs, prints
-    its golden and loads exactly the submodules it needs, and none imports
-    numpy, SciPy or dataclasses."""
+    its golden and loads exactly the submodules it needs, each layer
+    imported alone loads only itself and the layers below it, and none
+    imports numpy, SciPy or dataclasses."""
     for argv, loads, out in MODULE_LOADS:
-        want = f"root [] loaded {sorted(['_errors', 'cli', *loads])} tried []\n".encode()
+        want = f"root [] loaded {sorted(loads)} tried []\n".encode()
         expect(python(tmp, "-c", MODULE_PROBE, *argv), out=out, err=want)
 
 

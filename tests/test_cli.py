@@ -596,13 +596,16 @@ def test_console_script_smoke(tmp_path):
     assert proc.stdout == b"-1,0\n"
 
 
-# the package root's exports, by the submodule that defines each
+# the package root's exports, by the submodule that defines each; the
+# root itself defines the data errors
+ROOT_ERRORS = ["SchemaError", "DataError", "ClosureCapExceeded"]
 ROOT_EXPORTS = {
     "polygon": ["SlopeMultiset", "frobenius_polygon", "hodge_polygon"],
-    "galois": ["Permutation", "PermutationGroup", "FieldInteraction", "interact_rules"],
+    "galois": ["Permutation", "PermutationGroup"],
     "numberfield": [
         "Field", "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
         "Defect", "k_of_p", "weil_bound_check", "half_bound_check",
+        "FieldInteraction", "interact_rules",
     ],
     "satotate": [
         "CEstimate", "METHOD_CLOSED", "METHOD_SERIES",
@@ -618,7 +621,7 @@ ROOT_EXPORTS = {
 def test_package_root_loads_on_first_use(tmp_path):
     """``import heckeslopes`` loads no submodule; each exported name is
     its submodule's object, loaded on first access; the error classes
-    that ``pipeline`` and ``galois`` re-export are those of ``_errors``."""
+    that ``pipeline`` and ``galois`` re-export are the root's own."""
     script = f"""
 import importlib, sys
 import heckeslopes
@@ -635,22 +638,22 @@ assert set(heckeslopes.__all__) <= set(dir(heckeslopes))
 heckeslopes.tail_table
 assert loaded() == ["heckeslopes.satotate"], loaded()
 exports = {ROOT_EXPORTS!r}
-assert sorted(heckeslopes.__all__) == sorted([*sum(exports.values(), []), "__version__"])
+assert sorted(heckeslopes.__all__) == sorted([*sum(exports.values(), []), *{ROOT_ERRORS!r}, "__version__"])
 for module, names in exports.items():
     for name in names:
         assert getattr(heckeslopes, name) is getattr(importlib.import_module("heckeslopes." + module), name), name
 namespace = {{}}
 exec("from heckeslopes import *", namespace)
 assert sorted(set(namespace) - {{"__builtins__"}}) == sorted(heckeslopes.__all__)
-from heckeslopes import _errors, cli, galois, pipeline
-assert pipeline.SchemaError is _errors.SchemaError and pipeline.DataError is _errors.DataError
-assert galois.ClosureCapExceeded is _errors.ClosureCapExceeded
+from heckeslopes import ClosureCapExceeded, DataError, SchemaError, cli, galois, pipeline
+assert pipeline.SchemaError is SchemaError and pipeline.DataError is DataError
+assert galois.ClosureCapExceeded is ClosureCapExceeded
 assert {{"SchemaError", "DataError"}} <= set(pipeline.__all__) and "ClosureCapExceeded" in galois.__all__
 print(len(namespace) - 1)
 """
     proc = python(tmp_path, "-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"31\n"
+    assert proc.stdout == b"34\n"
 
 
 def test_newton_below_hodge_is_data_error_under_optimize(forms_file):

@@ -1,4 +1,4 @@
-"""Permutation groups, orbit invariants, and the field-interaction rules."""
+"""Permutation groups and their orbit invariants."""
 import random
 from fractions import Fraction
 from math import factorial
@@ -8,17 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_closure, cycle_type_histogram
-from heckeslopes.galois import (
-    FACT_BISECTION_TRANSFERS,
-    FACT_SLOPE_EQUALS_RATIONAL_BASE,
-    FACT_SLOPE_ZERO_OVER_F,
-    FACT_SLOPE_ZERO_OVER_F_TILDE,
-    ClosureCapExceeded,
-    FieldInteraction,
-    Permutation,
-    PermutationGroup,
-    interact_rules,
-)
+from heckeslopes.galois import ClosureCapExceeded, Permutation, PermutationGroup
 
 KLEIN = PermutationGroup.parse("(0 1)(2 3);(0 2)(1 3)", 4)
 D8 = PermutationGroup.parse("(0 1 2 3);(0 2)", 4)
@@ -62,6 +52,12 @@ class TestPermutation:
         assert isinstance(p, tuple) and p == (1, 0) and hash(p) == hash((1, 0))
         assert (len(p), p[0], list(p)) == (2, 1, [1, 0]) and p.images == (1, 0)
         assert sorted([Permutation((1, 0)), Permutation((0, 1))]) == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("images", [(True, False), (1.0, 0.0), (1, 0.0), (1, "0")])
+    def test_images_must_be_ints(self, images):
+        # True == 1 and 1.0 == 1, so a check by value alone lets them in
+        with pytest.raises(ValueError, match="not a permutation of 0..1"):
+            Permutation(images)
 
     def test_str_round_trip(self):
         for text in ["(0 1)(2 3)", "(0 1 2 3)", "()"]:
@@ -146,6 +142,9 @@ class TestGroupClosure:
         for gens in ([(0, 0, 1)], [(1, 0)]):
             with pytest.raises(ValueError):
                 PermutationGroup(3, gens)
+        # refused at construction, not later as a list index in ``order``
+        with pytest.raises(ValueError, match="not a permutation"):
+            PermutationGroup(2, [(1.0, 0.0)])
 
     @pytest.mark.parametrize(
         "build, message",
@@ -397,11 +396,11 @@ class TestThreeTiers:
         expected = _reference_invariants(bfs_closure(gens, degree, cap=10**6), degree)
         group = PermutationGroup(degree, gens)
         assert _invariants(group) == expected
-        assert group._elements is None  # the walk lists nothing
+        assert "_elements" not in vars(group)  # the walk lists nothing
         if cycle is not None:
             fresh = PermutationGroup(degree, gens, cap=1)
             assert fresh.max_orbit_length() == fresh.max_min_orbit_length() == degree
-            assert fresh._reps is None  # decided without a chain
+            assert "_reps" not in vars(fresh)  # decided without a chain
 
     @pytest.mark.parametrize("name", TestGroupClosure.NAMED_GROUPS)
     def test_walk_matches_reference_closure_on_named_groups(self, name):
@@ -409,7 +408,7 @@ class TestThreeTiers:
         group = PermutationGroup.parse(gens, degree)
         expected = _reference_invariants(bfs_closure(group.generators, degree, cap=10**6), degree)
         assert _invariants(group) == expected
-        assert group._elements is None
+        assert "_elements" not in vars(group)
 
     def test_cap_stops_the_walk_but_not_generator_evidence(self):
         c2_cubed = PermutationGroup.parse("(0 1);(2 3);(4 5)", 6, cap=7)
@@ -486,100 +485,3 @@ class TestBlockAction:
         for small, big in zip(chain, chain[1:]):
             assert small.max_orbit_length() <= big.max_orbit_length()
             assert small.slope() >= big.slope()
-
-
-class TestInteractRules:
-    def test_prime_degree_not_dividing_base(self):
-        meta = FieldInteraction(deg_K=13, deg_F=2)
-        assert interact_rules(meta) == {FACT_SLOPE_ZERO_OVER_F}
-
-    def test_prime_degree_dividing_base_is_silent(self):
-        assert interact_rules(FieldInteraction(deg_K=13, deg_F=13)) == frozenset()
-        assert interact_rules(FieldInteraction(deg_K=13, deg_F=26)) == frozenset()
-
-    def test_composite_degree_is_silent(self):
-        assert interact_rules(FieldInteraction(deg_K=4, deg_F=3)) == frozenset()
-
-    def test_symmetric_group_odd_tilde_degree(self):
-        meta = FieldInteraction(galois_group_kind="symmetric", deg_F_tilde=3)
-        assert interact_rules(meta) == {FACT_SLOPE_ZERO_OVER_F_TILDE}
-
-    def test_symmetric_group_even_tilde_degree_is_silent(self):
-        meta = FieldInteraction(galois_group_kind="symmetric", deg_F_tilde=4)
-        assert interact_rules(meta) == frozenset()
-
-    def test_other_group_kinds_do_not_fire_rule_two(self):
-        meta = FieldInteraction(galois_group_kind="alternating", deg_F_tilde=3)
-        assert interact_rules(meta) == frozenset()
-
-    def test_coprime_discriminants_transfer(self):
-        meta = FieldInteraction(disc_K=33, disc_F=8)
-        assert interact_rules(meta) == {
-            FACT_SLOPE_EQUALS_RATIONAL_BASE,
-            FACT_BISECTION_TRANSFERS,
-        }
-
-    def test_shared_discriminant_factor_is_silent(self):
-        # |disc| values 44 and 8 share the factor 4, so the coprimality
-        # rule must not fire even though both fields are "different"
-        assert interact_rules(FieldInteraction(disc_K=44, disc_F=8)) == frozenset()
-
-    def test_negative_discriminants_use_absolute_value(self):
-        meta = FieldInteraction(disc_K=-3, disc_F=8)
-        assert interact_rules(meta) == {
-            FACT_SLOPE_EQUALS_RATIONAL_BASE,
-            FACT_BISECTION_TRANSFERS,
-        }
-
-    def test_rules_accumulate(self):
-        meta = FieldInteraction(
-            deg_K=5, deg_F=2, galois_group_kind="symmetric", deg_F_tilde=3,
-            disc_K=5, disc_F=8,
-        )
-        assert interact_rules(meta) == {
-            FACT_SLOPE_ZERO_OVER_F,
-            FACT_SLOPE_ZERO_OVER_F_TILDE,
-            FACT_SLOPE_EQUALS_RATIONAL_BASE,
-            FACT_BISECTION_TRANSFERS,
-        }
-
-    def test_empty_metadata_is_silent(self):
-        assert interact_rules(FieldInteraction()) == frozenset()
-
-    def test_bad_group_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FieldInteraction(galois_group_kind="sporadic")
-
-    def test_nonpositive_degree_rejected(self):
-        with pytest.raises(ValueError):
-            FieldInteraction(deg_K=0)
-
-    def test_replace_and_make_validate(self):
-        meta = FieldInteraction(deg_K=3)
-        with pytest.raises(ValueError, match="deg_K must be positive"):
-            meta._replace(deg_K=0)
-        with pytest.raises(ValueError, match="unknown galois_group_kind"):
-            meta._replace(galois_group_kind="sporadic")
-        with pytest.raises(ValueError, match="disc_F must be an integer"):
-            FieldInteraction._make([3, 1, 1, "other", 5, True])
-        assert meta._replace(deg_F=2) == FieldInteraction(deg_K=3, deg_F=2)
-        assert type(FieldInteraction._make(meta)) is FieldInteraction
-
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            (dict(deg_K=True), "deg_K must be an integer, got True"),
-            (dict(disc_K=1.5), "disc_K must be an integer, got 1.5"),
-            (dict(deg_F="2"), "deg_F must be an integer, got '2'"),
-            (dict(galois_group_kind=5), "unknown galois_group_kind: 5"),
-        ],
-    )
-    def test_wrong_types_rejected(self, kwargs, message):
-        with pytest.raises(ValueError) as err:
-            FieldInteraction(**kwargs)
-        assert str(err.value) == message
-
-    def test_degree_beyond_primality_range_refused(self):
-        # is_prime decides only n < 3317044064679887385961981
-        with pytest.raises(ValueError, match="too large"):
-            interact_rules(FieldInteraction(deg_K=3317044064679887385961981, deg_F=1))

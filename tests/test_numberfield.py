@@ -1,4 +1,5 @@
-"""Finite-field factorization, prime splitting, and defect computations."""
+"""Finite-field factorization, prime splitting, defect computations, and
+the field-interaction rules."""
 import random
 from fractions import Fraction
 
@@ -6,8 +7,13 @@ import pytest
 
 from conftest import poly_mul_mod, primes_below, quadratic_defect
 from heckeslopes.numberfield import (
+    FACT_BISECTION_TRANSFERS,
+    FACT_SLOPE_EQUALS_RATIONAL_BASE,
+    FACT_SLOPE_ZERO_OVER_F,
+    FACT_SLOPE_ZERO_OVER_F_TILDE,
     Defect,
     Field,
+    FieldInteraction,
     IndexWarningError,
     RamifiedPrimeError,
     discriminant,
@@ -15,6 +21,7 @@ from heckeslopes.numberfield import (
     embeddings,
     factor_mod_p,
     half_bound_check,
+    interact_rules,
     is_prime,
     k_of_p,
     splits_completely,
@@ -398,8 +405,125 @@ class TestIsPrime:
     def test_large_prime(self):
         assert is_prime(2**61 - 1) is True
 
+    @pytest.mark.parametrize("n", [7.0, 43.0, Fraction(7), "7"], ids=repr)
+    def test_refuses_what_is_not_an_int(self, n):
+        # 7.0 == Fraction(7) == 7: none may find the verdict cached for 7
+        assert is_prime(7) and is_prime(43)
+        with pytest.raises(TypeError) as err:
+            is_prime(n)
+        assert str(err.value) == f"is_prime needs an int, got {n!r} ({type(n).__name__})"
+
+    def test_bool_is_an_int(self):
+        assert is_prime(True) is False and is_prime(False) is False
+        # 1.0 == True: an untyped cache would answer it from the bool's entry
+        with pytest.raises(TypeError):
+            is_prime(1.0)
+
+    def test_moduli_that_are_not_ints_are_refused(self):
+        with pytest.raises(TypeError, match="is_prime needs an int"):
+            k_of_p((1, 1), SQRT2, 7.0)
+        with pytest.raises(TypeError, match="is_prime needs an int"):
+            factor_mod_p(SQRT2, 2.0)
+
     def test_refuses_beyond_the_deterministic_range(self):
         # 2^89 - 1 is prime, but above psi_13 = 3317044064679887385961981
         # thirteen bases no longer prove it
         with pytest.raises(ValueError, match="too large"):
             is_prime(2**89 - 1)
+
+
+class TestInteractRules:
+    def test_prime_degree_not_dividing_base(self):
+        meta = FieldInteraction(deg_K=13, deg_F=2)
+        assert interact_rules(meta) == {FACT_SLOPE_ZERO_OVER_F}
+
+    def test_prime_degree_dividing_base_is_silent(self):
+        assert interact_rules(FieldInteraction(deg_K=13, deg_F=13)) == frozenset()
+        assert interact_rules(FieldInteraction(deg_K=13, deg_F=26)) == frozenset()
+
+    def test_composite_degree_is_silent(self):
+        assert interact_rules(FieldInteraction(deg_K=4, deg_F=3)) == frozenset()
+
+    def test_symmetric_group_odd_tilde_degree(self):
+        meta = FieldInteraction(galois_group_kind="symmetric", deg_F_tilde=3)
+        assert interact_rules(meta) == {FACT_SLOPE_ZERO_OVER_F_TILDE}
+
+    def test_symmetric_group_even_tilde_degree_is_silent(self):
+        meta = FieldInteraction(galois_group_kind="symmetric", deg_F_tilde=4)
+        assert interact_rules(meta) == frozenset()
+
+    def test_other_group_kinds_do_not_fire_rule_two(self):
+        meta = FieldInteraction(galois_group_kind="alternating", deg_F_tilde=3)
+        assert interact_rules(meta) == frozenset()
+
+    def test_coprime_discriminants_transfer(self):
+        meta = FieldInteraction(disc_K=33, disc_F=8)
+        assert interact_rules(meta) == {
+            FACT_SLOPE_EQUALS_RATIONAL_BASE,
+            FACT_BISECTION_TRANSFERS,
+        }
+
+    def test_shared_discriminant_factor_is_silent(self):
+        # |disc| values 44 and 8 share the factor 4, so the coprimality
+        # rule must not fire even though both fields are "different"
+        assert interact_rules(FieldInteraction(disc_K=44, disc_F=8)) == frozenset()
+
+    def test_negative_discriminants_use_absolute_value(self):
+        meta = FieldInteraction(disc_K=-3, disc_F=8)
+        assert interact_rules(meta) == {
+            FACT_SLOPE_EQUALS_RATIONAL_BASE,
+            FACT_BISECTION_TRANSFERS,
+        }
+
+    def test_rules_accumulate(self):
+        meta = FieldInteraction(
+            deg_K=5, deg_F=2, galois_group_kind="symmetric", deg_F_tilde=3,
+            disc_K=5, disc_F=8,
+        )
+        assert interact_rules(meta) == {
+            FACT_SLOPE_ZERO_OVER_F,
+            FACT_SLOPE_ZERO_OVER_F_TILDE,
+            FACT_SLOPE_EQUALS_RATIONAL_BASE,
+            FACT_BISECTION_TRANSFERS,
+        }
+
+    def test_empty_metadata_is_silent(self):
+        assert interact_rules(FieldInteraction()) == frozenset()
+
+    def test_bad_group_kind_rejected(self):
+        with pytest.raises(ValueError):
+            FieldInteraction(galois_group_kind="sporadic")
+
+    def test_nonpositive_degree_rejected(self):
+        with pytest.raises(ValueError):
+            FieldInteraction(deg_K=0)
+
+    def test_replace_and_make_validate(self):
+        meta = FieldInteraction(deg_K=3)
+        with pytest.raises(ValueError, match="deg_K must be positive"):
+            meta._replace(deg_K=0)
+        with pytest.raises(ValueError, match="unknown galois_group_kind"):
+            meta._replace(galois_group_kind="sporadic")
+        with pytest.raises(ValueError, match="disc_F must be an integer"):
+            FieldInteraction._make([3, 1, 1, "other", 5, True])
+        assert meta._replace(deg_F=2) == FieldInteraction(deg_K=3, deg_F=2)
+        assert type(FieldInteraction._make(meta)) is FieldInteraction
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(deg_K=True), "deg_K must be an integer, got True"),
+            (dict(disc_K=1.5), "disc_K must be an integer, got 1.5"),
+            (dict(deg_F="2"), "deg_F must be an integer, got '2'"),
+            (dict(galois_group_kind=5), "unknown galois_group_kind: 5"),
+        ],
+    )
+    def test_wrong_types_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            FieldInteraction(**kwargs)
+        assert str(err.value) == message
+
+    def test_degree_beyond_primality_range_refused(self):
+        # is_prime decides only n < 3317044064679887385961981
+        with pytest.raises(ValueError, match="too large"):
+            interact_rules(FieldInteraction(deg_K=3317044064679887385961981, deg_F=1))

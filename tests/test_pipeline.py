@@ -455,7 +455,7 @@ class TestAnalysis:
         assert calls["embeddings"] == len(weil_checked) > 1
 
     def test_one_primality_test_per_prime_one_payload_per_polygon(self, monkeypatch):
-        from heckeslopes._arith import is_prime
+        from heckeslopes.numberfield import is_prime
 
         is_prime.cache_clear()
         records = load_forms(DATA / "golden_synth.json")
