@@ -8,8 +8,10 @@ them), ``analyze`` (per-prime reports for a JSON record file) and
 error, 2 malformed data; errors go to stderr as single
 machine-parsable lines.  Output is byte-identical across runs.
 
-Each handler imports the layers it runs, so a command's cold start
-loads no other: ``polygon`` needs only ``polygon`` and the root.
+A call builds only its own command's subparser; help and malformed
+calls build all six (see ``build_parser``).  Each handler imports the
+layers it runs, so a command's cold start loads no other: ``polygon``
+needs only ``polygon`` and the root.
 """
 
 from __future__ import annotations
@@ -31,7 +33,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+# name: (help, arguments, handler), one entry per command in the order
+# help lists them, each set by the @_command on its handler
+_COMMANDS = {}
+
+
+def _command(name: str, summary: str, *arguments):
+    def register(handler):
+        _COMMANDS[name] = (summary, arguments, handler)
+        return handler
+
+    return register
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with ``command``'s subparser only, or with all six
+    when ``command`` is None.  A command parses, fails and prints help
+    the same from either, so ``main`` builds only the subparser that
+    its argv names (``_named_command``); help flags and malformed
+    calls get all six."""
     parser = _Parser(prog="heckeslopes", description=__doc__.splitlines()[0])
     # --seed, --threads and table --samples are read by nothing.  They
     # stay parseable because perfbench/run.py passes them on every
@@ -39,53 +63,24 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("polygon", help="slope multiset operations")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=["oplus", "otimes", "dual", "leq", "P", "Pprime", "vertices"],
-    )
-    p.add_argument("--a", help="slope multiset, e.g. '0,1/2,1/2,1'")
-    p.add_argument("--b", help="second multiset for binary ops")
-    p.add_argument("--d", type=int, help="base degree for P/Pprime")
-    p.add_argument("--k", type=int, help="block count for P/Pprime")
-    p.add_argument("--i", type=int, default=0, help="non-ordinary blocks for P/Pprime")
-    p.set_defaults(func=_cmd_polygon)
-
-    p = sub.add_parser("slope", help="orbit invariants of a permutation group")
-    p.add_argument("--gens", required=True, help="semicolon-separated permutations")
-    p.add_argument("--n", type=int, required=True, help="number of points")
-    p.add_argument("--min", action="store_true", help="report min-orbit invariants instead")
-    p.add_argument(
-        "--cap",
-        type=int,
-        help="largest group order to walk (default 10^6); S_n and A_n have closed forms",
-    )
-    p.set_defaults(func=_cmd_slope)
-
-    p = sub.add_parser("stc", help="one semicircle tail constant c(k,t)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=["series", "closed"], default="series")
-    p.set_defaults(func=_cmd_stc)
-
-    p = sub.add_parser("table", help="triangular table of tail constants")
-    p.add_argument("--max-k", type=int, required=True, dest="max_k")
-    p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("analyze", help="per-prime reports for a JSON record file")
-    p.add_argument("file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("classify", help="metadata guarantees for a JSON record file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
+    for name in _COMMANDS if command is None else (command,):
+        summary, arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _named_command(argv) -> str | None:
+    """The command that ``argv`` names right after its leading
+    ``--seed V`` and ``--threads V`` pairs, else None: help flags,
+    ``--seed=3``, abbreviations and unknown or missing commands get the
+    full parser."""
+    i = 0
+    while i < len(argv) and argv[i] in ("--seed", "--threads"):
+        i += 2
+    return argv[i] if i < len(argv) and argv[i] in _COMMANDS else None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -102,6 +97,15 @@ def _parse_multiset(text: str, flag: str):
         raise UsageError(f"bad multiset for {flag}: {exc}") from exc
 
 
+@_command(
+    "polygon", "slope multiset operations",
+    _arg("--op", required=True, choices=["oplus", "otimes", "dual", "leq", "P", "Pprime", "vertices"]),
+    _arg("--a", help="slope multiset, e.g. '0,1/2,1/2,1'"),
+    _arg("--b", help="second multiset for binary ops"),
+    _arg("--d", type=int, help="base degree for P/Pprime"),
+    _arg("--k", type=int, help="block count for P/Pprime"),
+    _arg("--i", type=int, default=0, help="non-ordinary blocks for P/Pprime"),
+)
 def _cmd_polygon(args) -> int:
     from .polygon import frobenius_polygon, vertices_payload
 
@@ -135,6 +139,15 @@ def _cmd_polygon(args) -> int:
     return 0
 
 
+@_command(
+    "slope", "orbit invariants of a permutation group",
+    _arg("--gens", required=True, help="semicolon-separated permutations"),
+    _arg("--n", type=int, required=True, help="number of points"),
+    _arg("--min", action="store_true", help="report min-orbit invariants instead"),
+    _arg(
+        "--cap", type=int, help="largest group order to walk (default 10^6); S_n and A_n have closed forms"
+    ),
+)
 def _cmd_slope(args) -> int:
     from .galois import DEFAULT_CLOSURE_CAP, PermutationGroup
 
@@ -158,6 +171,12 @@ def _cmd_slope(args) -> int:
     return 0
 
 
+@_command(
+    "stc", "one semicircle tail constant c(k,t)",
+    _arg("--k", type=int, required=True),
+    _arg("--t", type=int, required=True),
+    _arg("--method", choices=["series", "closed"], default="series"),
+)
 def _cmd_stc(args) -> int:
     import json
 
@@ -175,6 +194,11 @@ def _format_entry(est) -> str:
     return f"{est.value:.5f}±{est.abs_error:.1e}"
 
 
+@_command(
+    "table", "triangular table of tail constants",
+    _arg("--max-k", type=int, required=True, dest="max_k"),
+    _arg("--samples", type=int, help=argparse.SUPPRESS),
+)
 def _cmd_table(args) -> int:
     from .satotate import tail_table
 
@@ -185,6 +209,12 @@ def _cmd_table(args) -> int:
     return 0
 
 
+@_command(
+    "analyze", "per-prime reports for a JSON record file",
+    _arg("file"),
+    _arg("--out", help="output path (default: stdout)"),
+    _arg("--format", choices=["tsv", "json"], default="tsv"),
+)
 def _cmd_analyze(args) -> int:
     from .pipeline import analyze_form, emit_report, load_forms
 
@@ -200,6 +230,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@_command("classify", "metadata guarantees for a JSON record file", _arg("file"))
 def _cmd_classify(args) -> int:
     from .pipeline import guarantee, load_forms
 
@@ -218,7 +249,9 @@ def _cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -296,10 +296,12 @@ class PermutationGroup:
         generators: Iterable[Iterable[int]] = (),
         cap: int = DEFAULT_CLOSURE_CAP,
     ):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
+        # by type first, as Permutation: 2.0 and True would pass the bounds
+        for name, value in (("degree", degree), ("cap", cap)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.degree = degree
         self.generators = tuple(map(Permutation, generators))
         if any(len(g) != degree for g in self.generators):
@@ -367,6 +369,7 @@ class PermutationGroup:
         self._check_cap()
         return _walk_summary(self._reps, n)
 
+    @functools.cached_property
     def _has_full_cycle_generator(self) -> bool:
         """Generator evidence: an n-cycle makes both orbit lengths n."""
         return any(g.max_orbit_length() == self.degree for g in self.generators)
@@ -375,14 +378,14 @@ class PermutationGroup:
 
     def max_orbit_length(self) -> int:
         """Largest orbit length achieved by any element."""
-        if self._has_full_cycle_generator():
+        if self._has_full_cycle_generator:
             return self.degree
         return self._orbit_summary[0]
 
     def max_min_orbit_length(self) -> int:
         """Supremum over elements of that element's *shortest* orbit
         length (equals n exactly when some element is an n-cycle)."""
-        if self._has_full_cycle_generator():
+        if self._has_full_cycle_generator:
             return self.degree
         return self._orbit_summary[1]
 

@@ -9,7 +9,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
-from heckeslopes import pipeline
+from heckeslopes import cli, pipeline
 from heckeslopes.cli import main
 from heckeslopes.pipeline import analyze_form, emit_report, load_forms
 from heckeslopes.polygon import SlopeMultiset, hodge_polygon
@@ -578,6 +578,68 @@ class TestGlobalFlags:
     def test_threads_do_not_change_output(self, capsys):
         argv = ["stc", "--k", "3", "--t", "2"]
         assert run(capsys, ["--threads", "1"] + argv) == run(capsys, ["--threads", "4"] + argv)
+
+
+# global-flag heads and command tails of the argv that main sees; "f"
+# is a file name that is parsed, never opened
+HEADS = [
+    [], ["--seed", "3"], ["--threads", "1"], ["--seed=3"], ["--thr", "1"], ["--seed", "x"],
+    ["--seed"], ["-h"], ["--help"], ["--seed", "-h"], ["--seed", "classify"],
+    ["--threads", "1", "--seed", "2"],
+]
+TAILS = [
+    ["polygon", "--op", "dual", "--a", "0,1"],
+    ["slope", "--gens", "(0 1)", "--n", "2", "--min"],
+    ["stc", "--k", "3", "--t", "2", "--method", "closed"],
+    ["table", "--max-k", "3", "--samples", "5"],
+    ["analyze", "f", "--format", "json"],
+    ["classify", "f"],
+    ["bogus"], [], ["classify"], ["classify", "-h"], ["polygon", "--op", "nope"],
+    ["classify", "f", "--threads", "1"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The namespace, the ``UsageError`` text, or the ``SystemExit``
+    code, each with what the parse printed."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except cli.UsageError as exc:
+        outcome = f"usage: {exc}"
+    except SystemExit as exc:
+        outcome = f"exit {exc.code}"
+    return outcome, capsys.readouterr()
+
+
+def argv_id(argv):
+    return " ".join(argv) or "none"
+
+
+@pytest.mark.parametrize("tail", TAILS, ids=argv_id)
+@pytest.mark.parametrize("head", HEADS, ids=argv_id)
+def test_own_subparser_parses_as_the_full_parser(capsys, head, tail):
+    argv = head + tail
+    own = parse_outcome(cli.build_parser(cli._named_command(argv)), argv, capsys)
+    assert own == parse_outcome(cli.build_parser(), argv, capsys)
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    data = Path(__file__).parent / "data"
+    assert main(["--threads", "1", "classify", str(data / "golden_galois.json")]) == 0
+    assert built == ["heckeslopes", "heckeslopes classify"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert len(built) == 7
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -151,8 +151,17 @@ class TestGroupClosure:
         [
             (lambda: PermutationGroup(0), "degree must be >= 1"),
             (lambda: Permutation((1, 0)) * Permutation((0, 2, 1)), "degree mismatch"),
+            # by type before the bounds: 2.0 and True compare as ints
+            (lambda: PermutationGroup(2.0, [(1, 0)]), "degree must be an int, not 2.0"),
+            (lambda: PermutationGroup(True, [(0,)]), "degree must be an int, not True"),
+            (lambda: PermutationGroup(2, [(1, 0)], cap=2.5), "cap must be an int, not 2.5"),
+            (lambda: PermutationGroup(2, [(1, 0)], cap=True), "cap must be an int, not True"),
+            (lambda: PermutationGroup(2, cap=0), "cap must be >= 1"),
         ],
-        ids=["degree-0", "product-of-degrees-2-and-3"],
+        ids=[
+            "degree-0", "product-of-degrees-2-and-3", "float-degree", "bool-degree",
+            "float-cap", "bool-cap", "cap-0",
+        ],
     )
     def test_refusals(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -409,6 +418,17 @@ class TestThreeTiers:
         expected = _reference_invariants(bfs_closure(group.generators, degree, cap=10**6), degree)
         assert _invariants(group) == expected
         assert "_elements" not in vars(group)
+
+    def test_generator_evidence_is_read_once_per_group(self, monkeypatch):
+        calls = []
+        longest = Permutation.max_orbit_length
+        monkeypatch.setattr(
+            Permutation, "max_orbit_length", lambda g: calls.append(g) or longest(g)
+        )
+        klein = PermutationGroup.parse("(0 1)(2 3);(0 2)(1 3)", 4)
+        for _ in range(2):
+            assert (klein.max_orbit_length(), klein.max_min_orbit_length()) == (2, 2)
+        assert calls == list(klein.generators)
 
     def test_cap_stops_the_walk_but_not_generator_evidence(self):
         c2_cubed = PermutationGroup.parse("(0 1);(2 3);(4 5)", 6, cap=7)
