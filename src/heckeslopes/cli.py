@@ -114,28 +114,30 @@ def _cmd_polygon(args) -> int:
         _require(args.a is not None and args.b is not None, f"--op {op} needs --a and --b")
         a = _parse_multiset(args.a, "--a")
         b = _parse_multiset(args.b, "--b")
-        if op == "oplus":
-            print(a.oplus(b))
-        elif op == "otimes":
-            print(a.otimes(b))
-        else:
+        if op == "leq":
             print("true" if a.leq(b) else "false")
             if a.rank == b.rank and a.integral != b.integral:
                 print("note=endpoint-mismatch")
-        return 0
-    if op in ("dual", "vertices"):
+            return 0
+        result, inputs = a.oplus(b) if op == "oplus" else a.otimes(b), "--a and --b"
+    elif op in ("dual", "vertices"):
         _require(args.a is not None, f"--op {op} needs --a")
         a = _parse_multiset(args.a, "--a")
-        if op == "dual":
-            print(a.dual())
-        else:
+        result, inputs = a.dual() if op == "dual" else a, "--a"
+    else:  # P / Pprime
+        _require(args.d is not None and args.k is not None, f"--op {op} needs --d and --k")
+        result = frobenius_polygon(args.d, args.k, args.i, weight=2 if op == "P" else 3)
+        inputs = "--d and --k"
+    try:
+        if op == "vertices":
             import json
 
-            print(json.dumps(vertices_payload(a), separators=(",", ":")))
-        return 0
-    # P / Pprime
-    _require(args.d is not None and args.k is not None, f"--op {op} needs --d and --k")
-    print(frobenius_polygon(args.d, args.k, args.i, weight=2 if op == "P" else 3))
+            text = json.dumps(vertices_payload(result), separators=(",", ":"))
+        else:
+            text = str(result)
+    except ValueError as exc:  # an integer past the interpreter's limit on printed digits
+        raise UsageError(f"the result of --op {op} on {inputs} has a number too long to print") from exc
+    print(text)
     return 0
 
 
@@ -254,6 +256,9 @@ def main(argv=None) -> int:
     parser = build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
+        # argparse reads the value of --flag=-- as an empty list
+        missing = next((dest for dest, value in vars(args).items() if value == []), None)
+        _require(missing is None, f"argument --{str(missing).replace('_', '-')}: expected one argument")
         return args.func(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

@@ -22,10 +22,14 @@ squarefree, its factors are distinct, and k(p) = deg gcd(f mod p,
 a mod p) (Cohen, *A Course in Computational Algebraic Number Theory*,
 3.4): ``k_of_p`` takes one gcd and never factors.  In the same way
 ``splits_completely`` counts the roots of ``f`` mod ``p`` as
-deg gcd(x^p - x, f mod p).  Euclid's remainders build no quotient.
-disc(f) comes from the n-square Bézout matrix of (f, f') for f of
-degree n, once per ``Field``.  Coordinates must be ``int`` or
-``Fraction`` (``TypeError`` otherwise).
+deg gcd(x^p - x, f mod p), with x^p mod f taken left to right (square,
+then multiply by x, a shift); a linear f splits with no power at all.
+Euclid's remainders build no quotient.  disc(f) comes from the n-square
+Bézout matrix of (f, f') for f of degree n, once per ``Field``.
+Coordinates must be ``int`` or ``Fraction`` (``TypeError`` otherwise).
+
+Both read the residue record ``Field.at(p)``, made once per field and
+``int`` prime: it checks p once and keeps f mod p and the split verdict.
 
 Factorization mod p, used only by ``splitting_type`` (and so by
 callers that want the shape of ``p`` itself), is one distinct-degree
@@ -59,6 +63,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "Field",
+    "Residue",
     "RamifiedPrimeError",
     "IndexWarningError",
     "factor_mod_p",
@@ -97,15 +102,17 @@ class IndexWarningError(ArithmeticError):
 class Field(tuple):
     """Q[x]/(f) for monic integer ``f``, as the tuple of f's ascending
     coefficients (after PARI/GP's ``nfinit``, Cohen ch. 4).  ``disc``,
-    ``roots`` and ``splits`` (``splits_completely`` verdicts by prime)
-    are computed on first use and kept as long as the Field lives."""
+    ``roots`` and the residue record ``at(p)`` of each prime are
+    computed on first use and kept as long as the Field lives."""
 
     def __new__(cls, f: IntPoly) -> Field:
         if isinstance(f, Field):
             return f
         if not f or f[-1] != 1:
             raise ValueError("defining polynomial must be monic")
-        return super().__new__(cls, f)
+        field = super().__new__(cls, f)
+        field._residues = {}
+        return field
 
     @functools.cached_property
     def disc(self) -> int:
@@ -115,9 +122,36 @@ class Field(tuple):
     def roots(self) -> tuple[complex, ...]:
         return embeddings(self)  # by name, so a wrapper on it counts calls
 
+    def at(self, p: int) -> Residue:
+        """The residue record of the prime ``p``, kept per ``int`` p; any
+        other p (7.0 == 7, True == 1) gets a fresh one, and its refusals."""
+        if type(p) is not int:
+            return Residue(self, p)
+        if p not in self._residues:
+            self._residues[p] = Residue(self, p)
+        return self._residues[p]
+
+
+class Residue:
+    """f mod p for a ``Field`` f and a prime p, which is checked once, as
+    every modulus is.  Reading ``fb`` raises a new ``RamifiedPrimeError``
+    each time when p | disc(f), where f mod p has a repeated factor."""
+
+    def __init__(self, f: Field, p: int):
+        fb = _reduce_mod_prime(f, p)
+        # the Dedekind criterion will separate genuine ramification
+        # from index divisors (IndexWarningError) here
+        self.p, self._fb = p, None if len(f) > 1 and f.disc % p == 0 else tuple(fb)
+
+    @property
+    def fb(self) -> tuple[int, ...]:
+        if self._fb is None:
+            raise RamifiedPrimeError(f"p={self.p} ramifies in the field")
+        return self._fb
+
     @functools.cached_property
-    def splits(self) -> dict[int, bool]:
-        return {}
+    def splits(self) -> bool:
+        return _split_verdict(self.fb, self.p)
 
 
 # ---------------------------------------------------------------------
@@ -137,8 +171,8 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3317044064679887385961981
     (about 3.3e24); larger n raise ``ValueError`` instead of a guess,
     and an ``n`` that is not an ``int`` raises ``TypeError``.  Cached,
-    since ``k_of_p`` and ``splits_completely`` ask again for the same
-    few primes on every call."""
+    since every record of a file and every residue record ask again
+    for the same few primes."""
     if not isinstance(n, int):
         raise TypeError(f"is_prime needs an int, got {n!r} ({type(n).__name__})")
     if n >= _PSI_13:
@@ -258,13 +292,13 @@ def _gcd(f, g, p):
 
 
 def _pow_mod(base, e, mod, p):
+    """base^e mod ``mod`` over GF(p), left to right: square, then for a
+    1 bit multiply by base, which for base x is a shift."""
     result = [1]
-    base = _mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _mod(_mul(result, base, p), mod, p)
-        base = _mod(_mul(base, base, p), mod, p)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = _mod(_mul(result, result, p), mod, p)
+        if bit == "1":
+            result = _mod([0] + result if base == [0, 1] else _mul(result, base, p), mod, p)
     return result
 
 
@@ -392,13 +426,15 @@ def _fractions(a: Sequence[Coord]) -> list[tuple[int, int]]:
 
 def _integral_reduction(a: Sequence[Coord], p: int) -> list[int]:
     """``a`` mod ``p``, refusing coordinates that are not integers."""
-    pairs = _fractions(a)
-    # Z[x] can be smaller than the ring of integers: (1 + x)/2 over
-    # x^2 - 5 is integral but has denominators here
-    if any(d != 1 for _, d in pairs):
-        raise ValueError("coordinates must be integers in the power basis of the defining polynomial"
-                         " (elements of the maximal order outside Z[x] are not supported yet)")
-    return _reduce([n for n, _ in pairs], p)
+    if not all(type(c) is int for c in a):
+        pairs = _fractions(a)
+        # Z[x] can be smaller than the ring of integers: (1 + x)/2 over
+        # x^2 - 5 is integral but has denominators here
+        if any(d != 1 for _, d in pairs):
+            raise ValueError("coordinates must be integers in the power basis of the defining polynomial"
+                             " (elements of the maximal order outside Z[x] are not supported yet)")
+        a = [n for n, _ in pairs]
+    return _reduce(a, p)
 
 
 def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
@@ -420,18 +456,6 @@ class Defect(NamedTuple):
     all_primes: bool
 
 
-def _squarefree_reduction(field: Field, p: int) -> list[int]:
-    """``field`` mod ``p``, refusing ``p`` (with ``RamifiedPrimeError``)
-    when it has a repeated factor, which for monic f of degree >= 1
-    happens exactly when p | disc(f)."""
-    fb = _reduce_mod_prime(field, p)
-    if len(field) > 1 and field.disc % p == 0:
-        # the Dedekind criterion will separate genuine ramification
-        # from index divisors (IndexWarningError) here
-        raise RamifiedPrimeError(f"p={p} ramifies in the field")
-    return fb
-
-
 def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     """Ordinariness defect of ``a`` at ``p``: sum of residue degrees f_i
     over the primes (p, g_i) that contain ``a``.
@@ -442,7 +466,7 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     is factored.  The zero element lies in every prime: the full field
     degree is returned with ``all_primes=True`` rather than silently.
     """
-    fb = _squarefree_reduction(Field(f), p)
+    fb = Field(f).at(p).fb
     n = _deg(fb)
     _require_length(a, n)
     apoly = _integral_reduction(a, p)
@@ -454,15 +478,16 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
 
 def splits_completely(f: IntPoly, p: int) -> bool:
     """Whether monic ``f`` splits into distinct linear factors mod
-    ``p``: deg gcd(x^p - x, f mod p) = deg f, kept in ``Field(f).splits``.
-    Refuses ``p`` | disc(f) like ``k_of_p``: f mod p has a repeated factor."""
-    field = Field(f)
-    if type(p) is not int or p not in field.splits:  # 7.0 == 7 would skip the checks
-        fb = _squarefree_reduction(field, p)
-        x = [0, 1]
-        roots = _gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)
-        field.splits[p] = _deg(roots) == _deg(fb)
-    return field.splits[p]
+    ``p``, kept on the residue record ``Field(f).at(p)``.  Refuses
+    ``p`` | disc(f) like ``k_of_p``: f mod p has a repeated factor."""
+    return Field(f).at(p).splits
+
+
+def _split_verdict(fb: Sequence[int], p: int) -> bool:
+    """deg gcd(x^p - x, fb) = deg fb for squarefree monic ``fb``, at once
+    when deg fb <= 1."""
+    x = [0, 1]
+    return len(fb) <= 2 or _deg(_gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)) == _deg(fb)
 
 
 # ---------------------------------------------------------------------

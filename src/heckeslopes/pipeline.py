@@ -26,7 +26,10 @@ remains a distinct status for the report contract.
 What belongs to a field is computed once per file: each distinct
 generator list is parsed once, records with equal generators share one
 ``PermutationGroup``, and records with equal polynomials share one
-``numberfield.Field``, with its discriminant, roots and split verdicts.
+``numberfield.Field``, with its discriminant, roots and residue record
+per prime (f mod p and the split verdict).  Each distinct a_p
+coordinate string is parsed once per file too, through a memo keyed by
+the string alone.
 
 ``guarantee`` classifies what the record's metadata alone proves about
 defects and ordinary density, choosing the strongest applicable case
@@ -251,8 +254,9 @@ def _positive_int(label, field, value):
 def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = None) -> FormRecord:
     """Validate one record object.  ``shared`` maps each polynomial, a
     tuple of ints, to its ``Field`` and (degree, generator image tuples)
-    to a group, so records listing one share it, and (degree, generator
-    strings) to the same group, so each distinct list is parsed once."""
+    to a group, so records listing one share it, (degree, generator
+    strings) to the same group, so each distinct list is parsed once,
+    and each a_p coordinate string to its number."""
     shared = {} if shared is None else shared
     if not isinstance(obj, dict):
         raise SchemaError(f"record #{position}: not a JSON object")
@@ -376,10 +380,14 @@ def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = N
         coords = []
         for c in a_raw:
             if isinstance(c, str):
-                try:
-                    c = int(c) if _INT_RE.fullmatch(c) else _exact(c)
-                except (ValueError, ZeroDivisionError):
-                    _fail(label, f"ap[{j}].a", f"bad rational {c!r}")
+                # keyed by the string only: an int key would let True find 1
+                value = shared.get(c)
+                if value is None:
+                    try:
+                        value = shared[c] = int(c) if _INT_RE.fullmatch(c) else _exact(c)
+                    except (ValueError, ZeroDivisionError):
+                        _fail(label, f"ap[{j}].a", f"bad rational {c!r}")
+                c = value
             elif not isinstance(c, int) or isinstance(c, bool):
                 _fail(label, f"ap[{j}].a", "entries must be rational strings or integers")
             coords.append(c)
@@ -430,7 +438,7 @@ def _analyze_entry(
 ) -> PrimeReport:
     p = entry.p
     if not entry.split_in_F:
-        return PrimeReport(p=p, status=STATUS_SKIPPED_NONSPLIT)
+        return PrimeReport(p, STATUS_SKIPPED_NONSPLIT)
     try:
         split = splits_completely(rec.field_poly, p)
     except RamifiedPrimeError:
@@ -445,9 +453,9 @@ def _analyze_entry(
     try:
         defect = k_of_p(entry.a, rec.hecke_poly, p)
     except RamifiedPrimeError:
-        return PrimeReport(p=p, status=STATUS_SKIPPED_RAMIFIED)
+        return PrimeReport(p, STATUS_SKIPPED_RAMIFIED)
     except IndexWarningError:
-        return PrimeReport(p=p, status=STATUS_SKIPPED_INDEX)
+        return PrimeReport(p, STATUS_SKIPPED_INDEX)
     except ValueError as exc:
         # the record's degree and primality are validated on load, so
         # what remains is the data: an a_p with non-integer coordinates
@@ -466,15 +474,7 @@ def _analyze_entry(
         status, half_bound = STATUS_DEGENERATE_AP_ZERO, "not_applicable"
     else:
         status, half_bound = STATUS_ANALYZED, half_bound_check(defect.k, rec.k_f, p)
-    return PrimeReport(
-        p=p,
-        status=status,
-        k_p=defect.k,
-        newton=newton,
-        hodge=hodge,
-        ordinary=defect.k == 0,
-        half_bound=half_bound,
-    )
+    return PrimeReport(p, status, defect.k, newton, hodge, defect.k == 0, half_bound)
 
 
 # Always empty: each numberfield.Field keeps its roots.  The name stays only

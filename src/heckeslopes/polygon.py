@@ -238,8 +238,10 @@ class SlopeMultiset:
 
 
 # an exponent beyond Python's own limit on integer strings, 4300 digits,
-# would have Fraction build a power of ten that long
+# would have Fraction build a power of ten that long; a longer run of
+# digits would have int() name the interpreter's setting
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_LONG_DIGITS = re.compile(r"(?<![\d_])\d(?:_?\d){4300}")  # from a run's start: linear
 
 
 def _exact(s: Rational) -> Fraction:
@@ -250,6 +252,8 @@ def _exact(s: Rational) -> Fraction:
     exp = _EXPONENT.search(s) if isinstance(s, str) else None
     if exp and (len(exp[1]) > 4300 or abs(int(exp[1])) > 4300):
         raise ValueError(f"bad rational {s!r}: exponent magnitude above 4300")
+    if isinstance(s, str) and len(s) > 4300 and _LONG_DIGITS.search(s):
+        raise ValueError(f"bad rational {s!r}: more than 4300 digits in a row")
     return Fraction(s)
 
 

@@ -133,6 +133,9 @@ class TestPolygon:
         (["table", "--method", "mc", "--max-k", "3"], "unrecognized arguments: --method mc"),
         # the later cycle would overwrite point 2's image: read as (0 2 1)
         (["slope", "--gens", "(0 1 2)(2 1 0)", "--n", "3"], "bad --gens: repeated point 2 in '(0 1 2)(2 1 0)'"),
+        # argparse reads the value of --flag=-- as an empty list
+        (["polygon", "--op", "dual", "--a=--"], "argument --a: expected one argument"),
+        (["table", "--max-k=--"], "argument --max-k: expected one argument"),
     ]
 
     @pytest.mark.parametrize(
@@ -143,6 +146,33 @@ class TestPolygon:
         assert code == 1
         assert out == ""
         assert err == f"error: usage: {message}\n"
+
+    # in-range slopes whose output holds 10^4300, one digit past the
+    # interpreter's default limit on printing an integer (3.11 on)
+    TOO_LONG_TO_PRINT = [
+        (["--op", "dual", "--a", "1e4300"], "dual on --a", "-1" + "0" * 4300),
+        (["--op", "oplus", "--a", "1e4300", "--b", "0"], "oplus on --a and --b", "0,1" + "0" * 4300),
+        (["--op", "vertices", "--a", "5e4299,5e4299"], "vertices on --a", None),
+    ]
+
+    @pytest.mark.parametrize("argv, names, printed", TOO_LONG_TO_PRINT, ids=["dual", "oplus", "vertices"])
+    def test_result_too_long_to_print_names_the_inputs(self, capsys, argv, names, printed):
+        code, out, err = run(capsys, ["polygon", *argv])
+        try:
+            str(10**4300)
+        except ValueError:
+            assert (code, out) == (1, "")
+            assert err == f"error: usage: the result of --op {names} has a number too long to print\n"
+        else:  # an interpreter without the limit prints it
+            assert (code, err) == (0, "")
+            if printed is not None:
+                assert out == printed + "\n"
+
+    def test_digit_run_past_the_limit_is_refused_by_the_parser(self, capsys):
+        code, out, err = run(capsys, ["polygon", "--op", "dual", "--a", "0." + "0" * 4300 + "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage: bad multiset for --a: bad rational '0.000")
+        assert err.endswith("': more than 4300 digits in a row\n")
 
 
 class TestSlope:

@@ -1,10 +1,12 @@
-"""Exit-code contract of ``analyze`` and ``classify`` under adversarial records.
+"""Exit-code contract of the CLI under adversarial input.
 
-Each example takes a valid record, replaces one field with an arbitrary
-small JSON value, and runs the CLI in-process.  Whatever the input, the
-run must end in exit 0, 1 or 2 without an escaping exception, and a
-failing run must explain itself in exactly one ``error: usage:`` or
-``error: data:`` line on stderr.
+For ``analyze`` and ``classify``, each example takes a valid record,
+replaces one field with an arbitrary small JSON value, and runs the CLI
+in-process.  Whatever the input, the run must end in exit 0, 1 or 2
+without an escaping exception, and a failing run must explain itself in
+exactly one ``error: usage:`` or ``error: data:`` line on stderr.
+``polygon`` gets arbitrary slope strings for every ``--op`` and must end
+in exit 0 or 1, a failure in one ``error: usage:`` line.
 """
 import json
 from pathlib import Path
@@ -78,3 +80,53 @@ def test_exit_contract(tmp_path, capsysbinary, record, command):
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert err.startswith(("error: usage:", "error: data:")), err
+
+
+# polygon: slope strings near the interpreter's limit on integer
+# strings (4300 digits), whose sums, duals and vertices can pass it
+digit_runs = st.integers(4290, 4310).map(lambda n: "1" * n)
+huge_exponents = st.builds(
+    "{}e{}".format,
+    st.sampled_from(["1", "5", "9", "-1", "0.5", "1/3"]),
+    st.one_of(st.integers(-4310, 4310), st.integers(4290, 4300), st.integers(-10**6, 10**6)),
+)
+small_rationals = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-2, 5)),
+    st.sampled_from(["1.5", "-0.25", "1e-3", " 2 ", ""]),
+)
+slope_atoms = st.one_of(small_rationals, huge_exponents, digit_runs, short_text)
+slope_strings = st.one_of(st.lists(slope_atoms, max_size=4).map(",".join), short_text)
+# P and Pprime print k * 2^d slopes, so --d and --k stay small (a
+# large --d exhausts memory, a known defect); junk is not a number
+small_ints = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["", "x", "1.5", "--", "0x1"]))
+
+
+@st.composite
+def polygon_argv(draw):
+    op = draw(st.sampled_from(["oplus", "otimes", "dual", "leq", "P", "Pprime", "vertices"]))
+    argv = ["polygon", "--op", op]
+    flags = ("--a", "--b") if op not in ("P", "Pprime") else ("--d", "--k", "--i")
+    values = slope_strings if op not in ("P", "Pprime") else small_ints
+    for flag in flags:
+        if draw(st.integers(0, 9)):  # now and then a flag is missing
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=polygon_argv())
+def test_polygon_exit_contract(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in out + err and "set_int_max_str_digits" not in out + err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith("error: usage:"), err

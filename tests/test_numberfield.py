@@ -346,10 +346,14 @@ class TestField:
     def test_split_verdict_per_prime_kept_on_the_field(self):
         field = Field(SQRT2)
         assert [splits_completely(field, p) for p in (7, 3, 7)] == [True, False, True]
-        assert field.splits == {7: True, 3: False}
-        with pytest.raises(RamifiedPrimeError):
-            splits_completely(field, 2)
-        assert 2 not in field.splits and field.disc == 8
+        assert field.at(7) is field.at(7) and (field.at(7).splits, field.at(3).splits) == (True, False)
+        # a ramified prime keeps no verdict, and each call gets its own error
+        errors = []
+        for _ in range(2):
+            with pytest.raises(RamifiedPrimeError, match="^p=2 ramifies in the field$") as caught:
+                splits_completely(field, 2)
+            errors.append(caught.value)
+        assert errors[0] is not errors[1] and "splits" not in vars(field.at(2)) and field.disc == 8
         # an equal key that is not an int is refused as for a bare polynomial
         with pytest.raises(TypeError):
             splits_completely(field, 7.0)

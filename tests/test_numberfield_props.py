@@ -5,7 +5,8 @@ factorization mod p is a product of distinct
 irreducibles (checked by trial division), the gcd forms of the defect
 and of the split test agree with the factorization they replace, their
 refusals agree with the per-prime gcd(f, f') test, a list, a tuple and
-one shared ``Field`` get the same answers in any order, and the root
+one shared ``Field`` get the same answers in any order (the same
+refusal and message too, whatever the modulus), and the root
 finder agrees with numpy's companion-matrix roots and, bit for bit,
 with its exact-Fraction reference."""
 import itertools
@@ -99,6 +100,44 @@ def test_k_of_p_matches_factorization_oracle(fa, p, rng):
         return
     expected = sum(len(g) - 1 for g, _ in factor_mod_p(f, p) if element_in_prime(a, g, p))
     assert defect == (expected, False)
+
+
+def _outcome(question, *args):
+    """What ``question(*args)`` returns, or the type and message it raises."""
+    try:
+        return question(*args)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def moduli(draw, f):
+    """Primes, repeated, with the ramified ones of ``f``, composites and
+    values equal to an int that are not one."""
+    ramified = [p for p in (2, 3, 5, 7, 11, 13) if discriminant(f) % p == 0] or [2]
+    one = st.one_of(
+        prime_st,
+        st.sampled_from(ramified),
+        st.sampled_from([0, 1, 4, 15, -3, 3317044064679887385961981]),
+        st.sampled_from([7.0, True, False, Fraction(7)]),
+    )
+    return draw(st.lists(one, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residue_records_keep_every_refusal(data):
+    # one shared Field, asked in any order and again, answers as a fresh
+    # Field does each time: the same value, or the same error and message
+    f, a = data.draw(poly_and_element())
+    asks = data.draw(st.lists(st.tuples(st.sampled_from(["k_of_p", "splits"]), moduli(f)), max_size=4))
+    shared = Field(f)
+    for name, ps in asks:
+        for p in ps:
+            if name == "k_of_p":
+                assert _outcome(k_of_p, a, shared, p) == _outcome(k_of_p, a, list(f), p)
+            else:
+                assert _outcome(splits_completely, shared, p) == _outcome(splits_completely, list(f), p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -107,6 +107,16 @@ class TestSchema:
         )
         assert rec.eigenvalues[0].a == (Fraction(-1, 2),)
 
+    def test_true_is_refused_beside_one_and_the_string_one(self):
+        # a parsed "1" is kept by its string, so true never finds it
+        ap = [{"p": 3, "split_in_F": True, "a": ["1"]}, {"p": 5, "split_in_F": True, "a": [1]}]
+        with pytest.raises(SchemaError) as caught:
+            records_from_obj([
+                minimal_dict(label="a", ap=ap),
+                minimal_dict(label="b", ap=ap + [{"p": 7, "split_in_F": True, "a": [True]}]),
+            ])
+        assert str(caught.value) == "record 'b', field 'ap[2].a': entries must be rational strings or integers"
+
     def test_integers_are_stored_as_int(self):
         # JSON ints and ASCII integer strings skip Fraction parsing
         rec = record_from_dict(minimal_dict(ap=[{"p": 3, "split_in_F": True, "a": ["-007"]}]))
@@ -481,16 +491,54 @@ class TestPerFileSharing:
         from heckeslopes.cli import main
 
         calls = []
-        pow_mod = numberfield._pow_mod
-        # during analyze only the split check raises x to the p-th power,
-        # once for each verdict it computes
-        monkeypatch.setattr(numberfield, "_pow_mod", lambda *args: calls.append(args[3]) or pow_mod(*args))
+        verdict = numberfield._split_verdict
+        # the residue record of each (field_poly, p) computes its verdict
+        # once, with no power of x when field_poly is linear
+        monkeypatch.setattr(numberfield, "_split_verdict", lambda fb, p: calls.append(p) or verdict(fb, p))
         path = DATA / "golden_synth.json"
         assert main(["analyze", str(path)]) == 0
         assert capsysbinary.readouterr().out == (DATA / "golden_synth.tsv").read_bytes()
         checks = [(rec.field_poly, e.p) for rec in load_forms(path) for e in rec.eigenvalues if e.split_in_F]
         assert (len(checks), len(set(checks))) == (284, 71)
         assert sorted(calls) == sorted(p for _, p in set(checks))
+
+    def test_one_residue_per_field_and_prime_and_one_parse_per_coordinate(self, monkeypatch, capsysbinary):
+        from heckeslopes.cli import main
+
+        reductions, parsed = [], []
+        reduce, pattern = numberfield._reduce, pipeline._INT_RE
+
+        def counted_reduce(f, p):
+            if isinstance(f, numberfield.Field):  # only a residue record reduces a Field
+                reductions.append((f, p))
+            return reduce(f, p)
+
+        class CountedPattern:
+            def fullmatch(self, text):
+                parsed.append(text)
+                return pattern.fullmatch(text)
+
+        monkeypatch.setattr(numberfield, "_reduce", counted_reduce)
+        monkeypatch.setattr(pipeline, "_INT_RE", CountedPattern())
+        path = DATA / "golden_synth.json"
+        assert main(["analyze", str(path)]) == 0
+        assert capsysbinary.readouterr().out == (DATA / "golden_synth.tsv").read_bytes()
+
+        raw = json.loads(path.read_text())
+        strings = [c for rec in raw for e in rec["ap"] for c in e["a"]]
+        assert (len(strings), len(set(strings))) == (4462, 230)
+        assert sorted(parsed) == sorted(set(strings))
+
+        records = load_forms(path)
+        asked = {
+            (poly, e.p)
+            for rec in records
+            for e in rec.eigenvalues
+            if e.split_in_F
+            for poly in (rec.field_poly, rec.hecke_poly)
+        }
+        assert len(reductions) == len(set(reductions)) == len(asked)
+        assert set(reductions) == asked
 
     def test_one_discriminant_per_polynomial_per_run(self, monkeypatch, capsysbinary):
         from heckeslopes.cli import main
