@@ -124,10 +124,12 @@ def _cmd_polygon(args) -> int:
         _require(args.a is not None, f"--op {op} needs --a")
         a = _parse_multiset(args.a, "--a")
         result, inputs = a.dual() if op == "dual" else a, "--a"
-    else:  # P / Pprime
-        _require(args.d is not None and args.k is not None, f"--op {op} needs --d and --k")
-        result = frobenius_polygon(args.d, args.k, args.i, weight=2 if op == "P" else 3)
-        inputs = "--d and --k"
+    else:  # P / Pprime, whose k * 2^d slopes are all printed
+        d, k = args.d, args.k
+        _require(d is not None and k is not None, f"--op {op} needs --d and --k")
+        limit = f"--op {op} prints k * 2^d slopes: --d and --k allow at most 2^20"
+        _require(min(d, k) < 1 or d <= 20 and k << d <= 2**20, limit)
+        result, inputs = frobenius_polygon(d, k, args.i, weight=2 if op == "P" else 3), "--d and --k"
     try:
         if op == "vertices":
             import json

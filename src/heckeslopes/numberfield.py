@@ -23,7 +23,7 @@ a mod p) (Cohen, *A Course in Computational Algebraic Number Theory*,
 3.4): ``k_of_p`` takes one gcd and never factors.  In the same way
 ``splits_completely`` counts the roots of ``f`` mod ``p`` as
 deg gcd(x^p - x, f mod p), with x^p mod f taken left to right (square,
-then multiply by x, a shift); a linear f splits with no power at all.
+then multiply by x); a linear f splits with no power at all.
 Euclid's remainders build no quotient.  disc(f) comes from the n-square
 Bézout matrix of (f, f') for f of degree n, once per ``Field``.
 Coordinates must be ``int`` or ``Fraction`` (``TypeError`` otherwise).
@@ -127,9 +127,7 @@ class Field(tuple):
         other p (7.0 == 7, True == 1) gets a fresh one, and its refusals."""
         if type(p) is not int:
             return Residue(self, p)
-        if p not in self._residues:
-            self._residues[p] = Residue(self, p)
-        return self._residues[p]
+        return self._residues.get(p) or self._residues.setdefault(p, Residue(self, p))
 
 
 class Residue:
@@ -151,7 +149,9 @@ class Residue:
 
     @functools.cached_property
     def splits(self) -> bool:
-        return _split_verdict(self.fb, self.p)
+        """deg gcd(x^p - x, f mod p) = deg f, at once for a linear f."""
+        fb, p, x = self.fb, self.p, [0, 1]
+        return len(fb) <= 2 or _deg(_gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)) == _deg(fb)
 
 
 # ---------------------------------------------------------------------
@@ -293,12 +293,12 @@ def _gcd(f, g, p):
 
 def _pow_mod(base, e, mod, p):
     """base^e mod ``mod`` over GF(p), left to right: square, then for a
-    1 bit multiply by base, which for base x is a shift."""
+    1 bit multiply by base, for base x a product linear in the degree."""
     result = [1]
     for bit in bin(e)[2:]:
         result = _mod(_mul(result, result, p), mod, p)
         if bit == "1":
-            result = _mod([0] + result if base == [0, 1] else _mul(result, base, p), mod, p)
+            result = _mod(_mul(result, base, p), mod, p)
     return result
 
 
@@ -481,13 +481,6 @@ def splits_completely(f: IntPoly, p: int) -> bool:
     ``p``, kept on the residue record ``Field(f).at(p)``.  Refuses
     ``p`` | disc(f) like ``k_of_p``: f mod p has a repeated factor."""
     return Field(f).at(p).splits
-
-
-def _split_verdict(fb: Sequence[int], p: int) -> bool:
-    """deg gcd(x^p - x, fb) = deg fb for squarefree monic ``fb``, at once
-    when deg fb <= 1."""
-    x = [0, 1]
-    return len(fb) <= 2 or _deg(_gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)) == _deg(fb)
 
 
 # ---------------------------------------------------------------------

@@ -381,13 +381,12 @@ def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = N
         for c in a_raw:
             if isinstance(c, str):
                 # keyed by the string only: an int key would let True find 1
-                value = shared.get(c)
-                if value is None:
+                if c not in shared:
                     try:
-                        value = shared[c] = int(c) if _INT_RE.fullmatch(c) else _exact(c)
+                        shared[c] = int(c) if _INT_RE.fullmatch(c) else _exact(c)
                     except (ValueError, ZeroDivisionError):
                         _fail(label, f"ap[{j}].a", f"bad rational {c!r}")
-                c = value
+                c = shared[c]
             elif not isinstance(c, int) or isinstance(c, bool):
                 _fail(label, f"ap[{j}].a", "entries must be rational strings or integers")
             coords.append(c)

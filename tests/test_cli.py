@@ -133,9 +133,15 @@ class TestPolygon:
         (["table", "--method", "mc", "--max-k", "3"], "unrecognized arguments: --method mc"),
         # the later cycle would overwrite point 2's image: read as (0 2 1)
         (["slope", "--gens", "(0 1 2)(2 1 0)", "--n", "3"], "bad --gens: repeated point 2 in '(0 1 2)(2 1 0)'"),
-        # argparse reads the value of --flag=-- as an empty list
-        (["polygon", "--op", "dual", "--a=--"], "argument --a: expected one argument"),
-        (["table", "--max-k=--"], "argument --max-k: expected one argument"),
+        # every one of the k * 2^d slopes would be printed
+        (
+            ["polygon", "--op", "P", "--d", "33", "--k", "6"],
+            "--op P prints k * 2^d slopes: --d and --k allow at most 2^20",
+        ),
+        (
+            ["polygon", "--op", "Pprime", "--d", "1", "--k", "524289"],
+            "--op Pprime prints k * 2^d slopes: --d and --k allow at most 2^20",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -146,6 +152,22 @@ class TestPolygon:
         assert code == 1
         assert out == ""
         assert err == f"error: usage: {message}\n"
+
+    def test_largest_frobenius_polygon_prints(self, capsys):
+        code, out, err = run(capsys, ["polygon", "--op", "P", "--d", "20", "--k", "1"])
+        assert (code, err, out.count(",")) == (0, "", 2**20 - 1)
+
+    # argparse before 3.13 reads the value of --flag=-- as an empty list,
+    # which main refuses as argparse refuses a missing value; 3.13 hands
+    # the command the string '--', which it refuses as it refuses junk
+    @pytest.mark.parametrize(
+        "argv, flag", [(["polygon", "--op", "dual", "--a=--"], "--a"), (["table", "--max-k=--"], "--max-k")]
+    )
+    def test_double_dash_value_is_one_usage_line(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert flag in err, err
 
     # in-range slopes whose output holds 10^4300, one digit past the
     # interpreter's default limit on printing an integer (3.11 on)

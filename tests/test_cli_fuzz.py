@@ -97,9 +97,12 @@ small_rationals = st.one_of(
 )
 slope_atoms = st.one_of(small_rationals, huge_exponents, digit_runs, short_text)
 slope_strings = st.one_of(st.lists(slope_atoms, max_size=4).map(",".join), short_text)
-# P and Pprime print k * 2^d slopes, so --d and --k stay small (a
-# large --d exhausts memory, a known defect); junk is not a number
-small_ints = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["", "x", "1.5", "--", "0x1"]))
+# P and Pprime print k * 2^d slopes, which the CLI caps at 2^20: any
+# short digit string, signed or not, or junk that is not a number
+short_ints = st.one_of(
+    st.from_regex(r"-?[0-9]{1,7}", fullmatch=True),
+    st.sampled_from(["", "x", "1.5", "--", "0x1", "2" * 4301]),
+)
 
 
 @st.composite
@@ -107,7 +110,7 @@ def polygon_argv(draw):
     op = draw(st.sampled_from(["oplus", "otimes", "dual", "leq", "P", "Pprime", "vertices"]))
     argv = ["polygon", "--op", op]
     flags = ("--a", "--b") if op not in ("P", "Pprime") else ("--d", "--k", "--i")
-    values = slope_strings if op not in ("P", "Pprime") else small_ints
+    values = slope_strings if op not in ("P", "Pprime") else short_ints
     for flag in flags:
         if draw(st.integers(0, 9)):  # now and then a flag is missing
             argv.append(f"{flag}={draw(values)}")

@@ -490,17 +490,22 @@ class TestPerFileSharing:
     def test_one_split_verdict_per_field_and_prime(self, monkeypatch, capsysbinary):
         from heckeslopes.cli import main
 
-        calls = []
-        verdict = numberfield._split_verdict
-        # the residue record of each (field_poly, p) computes its verdict
-        # once, with no power of x when field_poly is linear
-        monkeypatch.setattr(numberfield, "_split_verdict", lambda fb, p: calls.append(p) or verdict(fb, p))
+        residues, powers = [], []
+        init, pow_mod = numberfield.Residue.__init__, numberfield._pow_mod
+        monkeypatch.setattr(
+            numberfield.Residue, "__init__", lambda res, f, p: residues.append(res) or init(res, f, p)
+        )
+        monkeypatch.setattr(numberfield, "_pow_mod", lambda *args: powers.append(args[1]) or pow_mod(*args))
         path = DATA / "golden_synth.json"
         assert main(["analyze", str(path)]) == 0
         assert capsysbinary.readouterr().out == (DATA / "golden_synth.tsv").read_bytes()
         checks = [(rec.field_poly, e.p) for rec in load_forms(path) for e in rec.eigenvalues if e.split_in_F]
         assert (len(checks), len(set(checks))) == (284, 71)
-        assert sorted(calls) == sorted(p for _, p in set(checks))
+        # the residue record of each (field_poly, p) keeps the one verdict
+        # it computed, with no power of x when field_poly is linear
+        verdicts = [res.p for res in residues if "splits" in vars(res)]
+        assert sorted(verdicts) == sorted(p for _, p in set(checks))
+        assert sorted(powers) == sorted(p for f, p in set(checks) if len(f) > 2) and len(powers) == 25
 
     def test_one_residue_per_field_and_prime_and_one_parse_per_coordinate(self, monkeypatch, capsysbinary):
         from heckeslopes.cli import main
