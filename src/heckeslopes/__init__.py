@@ -40,7 +40,7 @@ _EXPORTS = {
     "polygon": ("SlopeMultiset", "frobenius_polygon", "hodge_polygon"),
     "galois": ("Permutation", "PermutationGroup"),
     "numberfield": (
-        "Field", "factor_mod_p", "PrimeSplitting", "splitting_type", "element_in_prime",
+        "Field", "factor_mod_p", "PrimeSplitting", "splitting_type",
         "Defect", "k_of_p", "weil_bound_check", "half_bound_check",
         "FieldInteraction", "interact_rules",
     ),

@@ -157,6 +157,7 @@ def _cmd_slope(args) -> int:
 
     cap = DEFAULT_CLOSURE_CAP if args.cap is None else args.cap
     _require(args.n >= 1, "--n must be >= 1")
+    _require(args.n <= 2**20, "--n allows at most 2^20 points")
     _require(cap >= 1, "--cap must be >= 1")
     try:
         group = PermutationGroup.parse(args.gens, args.n, cap=cap)

@@ -108,19 +108,7 @@ class Permutation(tuple):
             )
         return cls(images)
 
-    degree = property(len)
-    images = property(tuple)
     __call__ = tuple.__getitem__
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition ``(self * other)(x) = self(other(x))``."""
-        if len(self) != len(other):
-            raise ValueError("degree mismatch")
-        return Permutation([self[j] for j in other])
-
-    def inverse(self) -> "Permutation":
-        # the points ordered by their images: i lands at position self[i]
-        return Permutation(sorted(range(len(self)), key=self.__getitem__))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits in cycle form, each rotated to start at its minimum,
@@ -144,22 +132,8 @@ class Permutation(tuple):
     def __repr__(self) -> str:
         return f"Permutation({list(self)!r})"
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Multiset of orbit lengths, sorted increasingly."""
-        return tuple(sorted(len(c) for c in self.cycles()))
-
     def max_orbit_length(self) -> int:
         return max(len(c) for c in self.cycles())
-
-    def min_orbit_length(self) -> int:
-        return min(len(c) for c in self.cycles())
-
-    def bisects(self) -> bool:
-        """True when the permutation has exactly two orbits and they
-        have equal size.  By this literal count the identity on two
-        points bisects (two fixed points)."""
-        cycle_type = self.cycle_type()
-        return len(cycle_type) == 2 and cycle_type[0] == cycle_type[1]
 
 
 def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:

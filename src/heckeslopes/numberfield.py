@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import random
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
@@ -69,7 +68,6 @@ __all__ = [
     "factor_mod_p",
     "PrimeSplitting",
     "splitting_type",
-    "element_in_prime",
     "Defect",
     "k_of_p",
     "splits_completely",
@@ -352,6 +350,8 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
     the quotient, those of multiplicity m.  Once deg rest < 2(d + 1),
     rest is irreducible or 1.
     """
+    import random  # here, not at the top: no command factors, so none loads it
+
     fb = _reduce_mod_prime(f, p)
     if not fb:
         raise ValueError("polynomial vanishes mod p")
@@ -435,17 +435,6 @@ def _integral_reduction(a: Sequence[Coord], p: int) -> list[int]:
                              " (elements of the maximal order outside Z[x] are not supported yet)")
         a = [n for n, _ in pairs]
     return _reduce(a, p)
-
-
-def element_in_prime(a: Sequence[Coord], g: IntPoly, p: int) -> bool:
-    """Whether the integral element with power-basis coordinates ``a``
-    lies in the prime (p, g(x)) — i.e. its reduction mod p is divisible
-    by the residue factor ``g``, which must not vanish mod p.  ``p`` must
-    be prime, as in ``k_of_p``."""
-    gbar = _reduce_mod_prime(g, p)
-    if not gbar:
-        raise ValueError(f"residue factor {list(g)} vanishes mod {p}")
-    return not _mod(_integral_reduction(a, p), gbar, p)
 
 
 class Defect(NamedTuple):

@@ -45,7 +45,6 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import DataError, SchemaError
@@ -418,11 +417,12 @@ def records_from_obj(obj) -> list[FormRecord]:
     return [record_from_dict(item, position=i, shared=shared) for i, item in enumerate(obj)]
 
 
-def load_forms(path: Union[str, Path]) -> list[FormRecord]:
+def load_forms(path: str) -> list[FormRecord]:
     """Load and validate form records from the JSON file at ``path``
     (UTF-8)."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            obj = json.loads(fh.read())
     except (ValueError, RecursionError) as exc:
         # bad JSON or UTF-8, too many digits, or nesting too deep
         raise SchemaError(f"not valid JSON: {exc}") from exc

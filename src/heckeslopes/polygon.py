@@ -20,9 +20,9 @@ of ``T`` dominates the corresponding partial sum for ``S``.
 A multiset is stored as its sorted runs ``(slope, multiplicity)``, one
 per distinct slope, so the geometry (``vertices``, ``integral``,
 ``rank``, ``leq``) costs O(runs) however large the multiplicities
-are; only ``slopes``, iteration, ``str`` and ``cumulative_points``
-expand the list.  ``leq`` walks the runs in integers, each slope scaled
-by the common denominator of both polygons' slopes.
+are; only ``slopes``, iteration and ``str`` expand the list.  ``leq``
+walks the runs in integers, each slope scaled by the common
+denominator of both polygons' slopes.
 
 ``frobenius_polygon`` builds the standard two-block families used for
 crystalline Frobenius slopes of eigenforms, in closed form, and
@@ -132,9 +132,6 @@ class SlopeMultiset:
             (a + b, m * n) for a, m in self._runs for b, n in other._runs
         )
 
-    __add__ = oplus
-    __mul__ = otimes
-
     def dual(self) -> "SlopeMultiset":
         """Entrywise negation."""
         return SlopeMultiset._from_pairs((-s, m) for s, m in self._runs)
@@ -144,34 +141,7 @@ class SlopeMultiset:
         c = Fraction(c)
         return SlopeMultiset._from_pairs((c * s, m) for s, m in self._runs)
 
-    def pow_oplus(self, k: int) -> "SlopeMultiset":
-        """``k``-fold multiset union with itself; ``k = 0`` gives the
-        empty multiset."""
-        if k < 0:
-            raise ValueError("pow_oplus needs k >= 0")
-        return SlopeMultiset._from_pairs((s, m * k) for s, m in self._runs)
-
-    def pow_otimes(self, k: int) -> "SlopeMultiset":
-        """``k``-fold pairwise-sum power; ``k = 0`` gives ``{0}``, the
-        otimes identity.  Rank grows like ``rank ** k``."""
-        if k < 0:
-            raise ValueError("pow_otimes needs k >= 0")
-        out = TENSOR_IDENTITY
-        for _ in range(k):
-            out = out.otimes(self)
-        return out
-
     # -- polygon geometry ----------------------------------------------
-
-    def cumulative_points(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """All lattice points ``(i, s_1 + ... + s_i)`` of the polygon,
-        one per slope plus the origin (no merging of equal slopes)."""
-        pts = [(Fraction(0), Fraction(0))]
-        y = Fraction(0)
-        for i, s in enumerate(self.slopes, start=1):
-            y += s
-            pts.append((Fraction(i), y))
-        return tuple(pts)
 
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Polygon vertices with runs of equal slopes merged into single

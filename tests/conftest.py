@@ -109,6 +109,18 @@ def repeated_factor_mod_p(f, p: int) -> bool:
     return len(a) > 1
 
 
+def divides_mod_p(g, f, p: int) -> bool:
+    """Whether the monic ``g`` divides ``f`` over GF(p), by schoolbook
+    long division of ``f`` mod ``p`` (coefficients ascending)."""
+    f = [c % p for c in f]
+    while len(f) >= len(g):
+        q, shift = f[-1], len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] = (f[shift + i] - q * c) % p
+        f.pop()
+    return not any(f)
+
+
 def sylvester_discriminant(f) -> int:
     """Reference for ``numberfield.discriminant``: (-1)^(n(n-1)/2)
     Res(f, f') / lc(f) for f of degree n >= 1 (trailing zero
@@ -256,32 +268,32 @@ def mellin_tail(k: int, t: int):
 
 def bfs_closure(generators, degree: int, cap: int):
     """Reference closure for ``PermutationGroup.elements``: the elements
-    generated by the ``Permutation`` ``generators`` on ``degree`` points,
-    found breadth first as products ``g * a`` of ``Permutation`` objects
-    and sorted by image tuple.  Raises ``ClosureCapExceeded`` with the
+    generated by the ``generators`` on ``degree`` points, found breadth
+    first as compositions g(a(x)), each kept as a ``Permutation``, and
+    sorted as image tuples.  Raises ``ClosureCapExceeded`` with the
     library's message as soon as more than ``cap`` elements are found."""
     from heckeslopes.galois import ClosureCapExceeded, Permutation
 
-    ident = Permutation.identity(degree)
+    ident = Permutation(range(degree))
     found = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for a in frontier:
             for g in generators:
-                b = g * a
+                b = Permutation([g[j] for j in a])
                 if b not in found:
                     found.add(b)
                     if len(found) > cap:
                         raise ClosureCapExceeded(f"closure exceeds cap of {cap} elements")
                     fresh.append(b)
         frontier = fresh
-    return tuple(sorted(found, key=lambda p: p.images))
+    return tuple(sorted(found))
 
 
 def _partitions(n: int, smallest: int = 1):
     """Partitions of ``n`` into parts >= ``smallest``, each as a
-    nondecreasing tuple (the form of ``Permutation.cycle_type``)."""
+    nondecreasing tuple of cycle lengths."""
     for part in range(smallest, n // 2 + 1):
         for rest in _partitions(n - part, part):
             yield (part,) + rest

@@ -178,14 +178,15 @@ MODULE_LOADS = [
     *(([layer], [layer], b"") for layer in ("polygon", "galois", "numberfield", "satotate")),
     (["pipeline"], PIPELINE_LOADS, b""),
 ]
-# a finder ahead of all others sees every attempt to import numpy, SciPy
-# or dataclasses, even one that -S makes fail and the code then catches
+# a finder ahead of all others sees every attempt to import numpy, SciPy,
+# dataclasses, pathlib or random, even one that -S makes fail and the
+# code then catches
 MODULE_PROBE = """
 import importlib, sys
 tried = []
 class Probe:
     def find_spec(name, path=None, target=None):
-        if name.partition(".")[0] in ("numpy", "scipy", "dataclasses"):
+        if name.partition(".")[0] in ("numpy", "scipy", "dataclasses", "pathlib", "random"):
             tried.append(name)
 sys.meta_path.insert(0, Probe)
 import heckeslopes
@@ -202,7 +203,7 @@ def modules(tmp):
     """``import heckeslopes`` loads no submodule; each command runs, prints
     its golden and loads exactly the submodules it needs, each layer
     imported alone loads only itself and the layers below it, and none
-    imports numpy, SciPy or dataclasses."""
+    imports numpy, SciPy, dataclasses, pathlib or random."""
     for argv, loads, out in MODULE_LOADS:
         want = f"root [] loaded {sorted(loads)} tried []\n".encode()
         expect(python(tmp, "-c", MODULE_PROBE, *argv), out=out, err=want)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_closure, cycle_type_histogram
+from heckeslopes import galois
 from heckeslopes.galois import ClosureCapExceeded, Permutation, PermutationGroup
 
 KLEIN = PermutationGroup.parse("(0 1)(2 3);(0 2)(1 3)", 4)
@@ -19,8 +20,7 @@ C4 = PermutationGroup.parse("(0 1 2 3)", 4)
 
 class TestPermutation:
     def test_parse_cycles(self):
-        p = Permutation.parse("(0 1)(2 3)", 4)
-        assert p.images == (1, 0, 3, 2)
+        assert Permutation.parse("(0 1)(2 3)", 4) == (1, 0, 3, 2)
 
     def test_parse_image_list(self):
         assert Permutation.parse("1,0,3,2", 4) == Permutation.parse("(0 1)(2 3)", 4)
@@ -30,8 +30,7 @@ class TestPermutation:
         assert Permutation.parse("", 3) == Permutation.identity(3)
 
     def test_fixed_points_omitted(self):
-        p = Permutation.parse("(1 2)", 4)
-        assert p.images == (0, 2, 1, 3)
+        assert Permutation.parse("(1 2)", 4) == (0, 2, 1, 3)
 
     # points are ASCII digits only, though int() reads 1_0 as 10, +0 as 0
     # and the Arabic-Indic digit one as 1
@@ -50,7 +49,7 @@ class TestPermutation:
     def test_is_its_image_tuple(self):
         p = Permutation((1, 0))
         assert isinstance(p, tuple) and p == (1, 0) and hash(p) == hash((1, 0))
-        assert (len(p), p[0], list(p)) == (2, 1, [1, 0]) and p.images == (1, 0)
+        assert (len(p), p[0], list(p)) == (2, 1, [1, 0])
         assert sorted([Permutation((1, 0)), Permutation((0, 1))]) == [(0, 1), (1, 0)]
 
     @pytest.mark.parametrize("images", [(True, False), (1.0, 0.0), (1, 0.0), (1, "0")])
@@ -64,26 +63,24 @@ class TestPermutation:
             p = Permutation.parse(text, 4)
             assert Permutation.parse(str(p), 4) == p
 
-    def test_composition_applies_right_first(self):
-        p = Permutation.parse("(0 1)", 3)
-        q = Permutation.parse("(1 2)", 3)
-        assert (p * q).images == tuple(p.images[q.images[x]] for x in range(3))
-
     def test_inverse(self):
+        # the reversed cycle undoes the cycle, and the group holds both
         g = Permutation.parse("(0 1 2 3)", 4)
-        assert g * g.inverse() == Permutation.identity(4)
-        assert g.inverse() == Permutation.parse("(0 3 2 1)", 4)
+        h = Permutation.parse("(0 3 2 1)", 4)
+        assert [g(h(x)) for x in range(4)] == [h(g(x)) for x in range(4)] == [0, 1, 2, 3]
+        assert {g, h} <= set(C4.elements)
 
     def test_cycle_type(self):
-        assert Permutation.parse("(0 1 2)(3 4)", 6).cycle_type() == (1, 2, 3)
-        assert Permutation.identity(3).cycle_type() == (1, 1, 1)
+        assert Permutation.parse("(0 1 2)(3 4)", 6).cycles() == ((0, 1, 2), (3, 4), (5,))
+        assert Permutation.parse("(4 3)(2 0 1)", 6).cycles() == ((0, 1, 2), (3, 4), (5,))
+        assert Permutation.identity(3).cycles() == ((0,), (1,), (2,))
 
     def test_orbit_lengths(self):
-        g = Permutation.parse("(0 1 2)(3 4)", 6)
-        assert g.max_orbit_length() == 3
-        assert g.min_orbit_length() == 1
-        assert Permutation.parse("(0 1 2 3)", 4).min_orbit_length() == 4
+        assert Permutation.parse("(0 1 2)(3 4)", 6).max_orbit_length() == 3
+        assert Permutation.parse("(0 1 2 3)", 4).max_orbit_length() == 4
 
+    # the walk behind the orbit invariants reads each element's cycles
+    # once; fed a single element, it reports that element alone
     @pytest.mark.parametrize(
         "text,n,expect",
         [
@@ -95,8 +92,26 @@ class TestPermutation:
             ("(0 1 2 3)", 4, False),
         ],
     )
-    def test_bisects(self, text, n, expect):
-        assert Permutation.parse(text, n).bisects() is expect
+    def test_bisects(self, monkeypatch, text, n, expect):
+        g = Permutation.parse(text, n)
+        monkeypatch.setattr(galois, "_products", lambda reps, degree: [g])
+        assert galois._walk_summary([], n)[2] == int(expect)
+
+    @pytest.mark.parametrize(
+        "text,n,longest,shortest",
+        [
+            ("()", 1, 1, 1),
+            ("()", 3, 1, 1),
+            ("(0 1 2)(3 4)", 6, 3, 1),
+            ("(0 1 2)(3 4 5)", 6, 3, 3),
+            ("(0 1)(2 3 4)", 5, 3, 2),
+            ("(0 1 2 3 4)", 5, 5, 5),
+        ],
+    )
+    def test_walk_orbit_lengths(self, monkeypatch, text, n, longest, shortest):
+        g = Permutation.parse(text, n)
+        monkeypatch.setattr(galois, "_products", lambda reps, degree: [g])
+        assert galois._walk_summary([], n)[:2] == (longest, shortest)
 
 
 class TestGroupClosure:
@@ -114,13 +129,13 @@ class TestGroupClosure:
         assert PermutationGroup.parse("()", 1).elements == (Permutation.identity(1),)
 
     def test_elements_sorted_and_closed(self):
+        # a finite set closed under composition is a group
         els = D8.elements
-        assert list(els) == sorted(els, key=lambda g: g.images)
+        assert list(els) == sorted(els)
         as_set = set(els)
         for a in els:
-            assert a.inverse() in as_set
             for b in els:
-                assert a * b in as_set
+                assert tuple([a[j] for j in b]) in as_set
 
     def test_closure_cap(self):
         s6 = PermutationGroup.parse("(0 1);(0 1 2 3 4 5)", 6, cap=100)
@@ -150,7 +165,7 @@ class TestGroupClosure:
         "build, message",
         [
             (lambda: PermutationGroup(0), "degree must be >= 1"),
-            (lambda: Permutation((1, 0)) * Permutation((0, 2, 1)), "degree mismatch"),
+            (lambda: PermutationGroup(3, [(1, 0), (0, 2, 1)]), "generator degree mismatch"),
             # by type before the bounds: 2.0 and True compare as ints
             (lambda: PermutationGroup(2.0, [(1, 0)]), "degree must be an int, not 2.0"),
             (lambda: PermutationGroup(True, [(0,)]), "degree must be an int, not True"),
@@ -292,10 +307,12 @@ class TestOrbitInvariants:
 
 def _reference_invariants(elements, degree):
     """The six invariants and the order, straight from a list of all
-    elements."""
-    bisecting = sum(1 for g in elements if g.bisects())
-    lam = max(g.max_orbit_length() for g in elements)
-    lam_min = max(g.min_orbit_length() for g in elements)
+    elements and the cycle lengths of each.  By this literal count the
+    identity on two points bisects (two fixed points)."""
+    lengths = [sorted(map(len, g.cycles())) for g in elements]
+    bisecting = sum(1 for ls in lengths if len(ls) == 2 and ls[0] == ls[1])
+    lam = max(ls[-1] for ls in lengths)
+    lam_min = max(ls[0] for ls in lengths)
     return {
         "order": len(elements),
         "max_orbit_length": lam,

@@ -17,7 +17,6 @@ from heckeslopes.numberfield import (
     IndexWarningError,
     RamifiedPrimeError,
     discriminant,
-    element_in_prime,
     embeddings,
     factor_mod_p,
     half_bound_check,
@@ -145,39 +144,39 @@ class TestDiscriminant:
 
 
 class TestElementInPrime:
+    """Which primes (p, g) above p hold an element a of Z[x]/(f), as
+    the defect reads it: k_of_p sums the degrees of g over those that
+    contain a.  Over 7, Q(sqrt 2) has the primes (7, x + 3) and
+    (7, x + 4), each of degree 1."""
+
     def test_reduction_detects_membership(self):
-        # theta is a unit at the prime x + 4 of Q(sqrt 2) over 7, since
-        # theta maps to 3 there; 3 + theta lands in the other prime
-        assert element_in_prime((0, 1), (4, 1), 7) is False
-        assert element_in_prime((3, 1), (3, 1), 7) is True
+        # theta maps to 4 and 3 in the two residue fields, so it is a
+        # unit at both; 3 + theta and 4 + theta each land in one prime
+        assert k_of_p((0, 1), SQRT2, 7) == Defect(0, False)
+        assert k_of_p((3, 1), SQRT2, 7) == Defect(1, False)
+        assert k_of_p((4, 1), SQRT2, 7) == Defect(1, False)
+        # their product 14 + 7 theta is 7 times a unit: in both
+        assert k_of_p((14, 7), SQRT2, 7) == Defect(2, False)
 
     def test_rational_prime_in_every_prime_above_it(self):
-        for g, _m in factor_mod_p(SQRT2, 7):
-            assert element_in_prime((7, 0), g, 7) is True
+        for f in (X, SQRT2, (1, 1, 0, 1)):
+            n = len(f) - 1
+            assert k_of_p((7,) + (0,) * (n - 1), f, 7) == Defect(n, False)
 
     def test_zero_in_everything(self):
-        assert element_in_prime((0, 0), (3, 1), 7) is True
+        for f in (X, SQRT2, (1, 1, 0, 1)):
+            n = len(f) - 1
+            assert k_of_p((0,) * n, f, 7) == Defect(n, True)
 
     def test_non_integral_rejected(self):
-        with pytest.raises(ValueError):
-            element_in_prime((Fraction(1, 2), 0), (3, 1), 7)
+        with pytest.raises(ValueError, match="must be integers"):
+            k_of_p((Fraction(1, 2), 0), SQRT2, 7)
 
-    @pytest.mark.parametrize("g", [(0,), (3,), ()])
-    def test_residue_factor_vanishing_mod_p_rejected(self, g):
-        # a divisor that vanishes mod p has no leading coefficient to invert
-        with pytest.raises(ValueError, match="vanishes mod 3"):
-            element_in_prime((1, 1), g, 3)
-
-    def test_residue_factor_reduced_before_dividing(self):
-        # 1 + 3x is the unit 1 mod 3, so the "prime" is the whole ring
-        assert element_in_prime((1, 1), (1, 3), 3) is True
-        assert element_in_prime((1, 1), (1,), 3) is True
-
-    @pytest.mark.parametrize("a,g,n", [((3, 1), (3, 1), 9), ((2, 0), (1, 1), 4), ((0, 0), (0, 1), 1)])
+    @pytest.mark.parametrize("a,g,n", [((3, 1), SQRT2, 9), ((2, 0), SQRT2, 4), ((0, 0), SQRT2, 1)])
     def test_composite_modulus_rejected(self, a, g, n):
-        # Z/9, Z/4 and Z/1 are not fields, so (n, g) is no prime; k_of_p refuses them too
+        # Z/9, Z/4 and Z/1 are not fields: no prime of Z[x]/(g) lies over n
         with pytest.raises(ValueError, match="is not prime"):
-            element_in_prime(a, g, n)
+            k_of_p(a, g, n)
 
 
 class TestDefect:
@@ -232,9 +231,8 @@ class TestCoordinateTypes:
         [
             lambda a: k_of_p(a, SQRT2, 7),
             lambda a: weil_bound_check(a, SQRT2, 7),
-            lambda a: element_in_prime(a, (3, 1), 7),
         ],
-        ids=["k_of_p", "weil_bound_check", "element_in_prime"],
+        ids=["k_of_p", "weil_bound_check"],
     )
     def test_other_types_refused(self, call, bad):
         with pytest.raises(TypeError) as info:
@@ -244,7 +242,6 @@ class TestCoordinateTypes:
     def test_int_and_fraction_agree(self):
         whole = (Fraction(3), Fraction(1))
         assert k_of_p(whole, SQRT2, 7) == k_of_p((3, 1), SQRT2, 7)
-        assert element_in_prime(whole, (3, 1), 7) is element_in_prime((3, 1), (3, 1), 7)
         assert weil_bound_check(whole, SQRT2, 7) is weil_bound_check((3, 1), SQRT2, 7)
 
 

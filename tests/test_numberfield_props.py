@@ -17,7 +17,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_embeddings, poly_mul_mod, repeated_factor_mod_p, sylvester_discriminant
+from conftest import (
+    divides_mod_p,
+    fraction_embeddings,
+    poly_mul_mod,
+    repeated_factor_mod_p,
+    sylvester_discriminant,
+)
 from heckeslopes.numberfield import (
     Field,
     _divmod,
@@ -27,7 +33,6 @@ from heckeslopes.numberfield import (
     _scaled_value,
     RamifiedPrimeError,
     discriminant,
-    element_in_prime,
     embeddings,
     factor_mod_p,
     is_prime,
@@ -98,7 +103,7 @@ def test_k_of_p_matches_factorization_oracle(fa, p, rng):
     if not any(a):
         assert defect == (len(f) - 1, True)
         return
-    expected = sum(len(g) - 1 for g, _ in factor_mod_p(f, p) if element_in_prime(a, g, p))
+    expected = sum(len(g) - 1 for g, _ in factor_mod_p(f, p) if divides_mod_p(g, a, p))
     assert defect == (expected, False)
 
 
@@ -194,7 +199,7 @@ def test_divmod_is_long_division(fgp, low):
     assert _mod(f, g, p) == r
     d = _gcd(f, g, p)
     assert d[-1] == 1 and all(0 <= c < p for c in d)
-    assert _divides(d, f, p) and _divides(d, g, p)
+    assert divides_mod_p(d, f, p) and divides_mod_p(d, g, p)
     # a planted common factor h: gcd(f h, g h) = gcd(f, g) h
     h = [c % p for c in low] + [1]
     assert _gcd(poly_mul_mod(f, h, p), poly_mul_mod(g, h, p), p) == poly_mul_mod(d, h, p)
@@ -224,22 +229,11 @@ def test_discriminant_is_the_sylvester_determinant(f):
     assert discriminant(f) == sylvester_discriminant(f)
 
 
-def _divides(g, f, p):
-    """Whether monic ``g`` divides ``f`` over GF(p), by long division."""
-    f = list(f)
-    while len(f) >= len(g):
-        q, shift = f[-1], len(f) - len(g)
-        for i, c in enumerate(g):
-            f[shift + i] = (f[shift + i] - q * c) % p
-        f.pop()
-    return not any(f)
-
-
 def _irreducible(g, p):
     """Trial division by every monic polynomial of degree 1 .. deg g // 2."""
     n = len(g) - 1
     return n >= 1 and not any(
-        _divides(list(low) + [1], g, p)
+        divides_mod_p(list(low) + [1], g, p)
         for k in range(1, n // 2 + 1)
         for low in itertools.product(range(p), repeat=k)
     )

@@ -261,6 +261,11 @@ class TestSchema:
         recs = load_forms(path)
         assert [r.label for r in recs] == ["f0", "f1", "f2", "f3"]
 
+    def test_str_path_read_as_utf8(self, tmp_path):
+        path = tmp_path / "forms.json"
+        path.write_bytes(json.dumps([minimal_dict(label="Δ₁₁")], ensure_ascii=False).encode("utf-8"))
+        assert [r.label for r in load_forms(str(path))] == ["Δ₁₁"]
+
     def test_round_trip_through_json(self, tmp_path):
         data = [
             minimal_dict(),

@@ -1,5 +1,6 @@
 """Property-based tests for the multiset semiring and its order."""
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from hypothesis import given, settings
@@ -175,12 +176,12 @@ class TestFamilyProperties:
         # must agree with that construction and with the expanded list
         for d, k, weight in product(range(1, 6), range(1, 5), (2, 3)):
             step = 1 if weight == 2 else 2
-            ordinary = SlopeMultiset([0, step]).pow_otimes(d)
-            half = SlopeMultiset([Fraction(step, 2)] * 2).pow_otimes(d)
+            ordinary = reduce(SlopeMultiset.otimes, [SlopeMultiset([0, step])] * d)
+            half = reduce(SlopeMultiset.otimes, [SlopeMultiset([Fraction(step, 2)] * 2)] * d)
             ordinary_list = [sum(c) for c in product((0, step), repeat=d)]
             for i in range(k + 1):
                 got = frobenius_polygon(d, k, i, weight)
-                assert got == ordinary.pow_oplus(k - i).oplus(half.pow_oplus(i))
+                assert got == reduce(SlopeMultiset.oplus, [ordinary] * (k - i) + [half] * i)
                 expanded = ordinary_list * (k - i) + [Fraction(d * step, 2)] * (i * 2**d)
                 assert got.slopes == tuple(sorted(expanded))
 
