@@ -146,25 +146,31 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
     under G_k, the pointwise stabilizer of 0..k-1, to a pair (u, u^-1)
     with u in G_k and u(k) = j.  Each element is exactly one product
     u_0 * u_1 * ... of one u per level (Seress §4.1), so the order is
-    the product of the orbit lengths.  A generator of G_k that does not
-    sift through the chain joins ``strong[k]``, and each Schreier
-    generator it makes (a product that fixes k) is added to G_(k+1)."""
+    the product of the orbit lengths.  One worklist, not recursion: an
+    element popped at level k that does not sift through the chain joins
+    ``strong[k]``, and each Schreier generator it makes (a product that
+    fixes k) is pushed at level k + 1, but one that fixes k while level
+    k holds only k (its own Schreier generator) passes straight to k + 1."""
     identity = tuple(range(degree))
     reps = [{k: (identity, identity)} for k in range(degree)]
     strong: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
 
-    def sifts(k: int, g: tuple[int, ...]) -> bool:
+    # popped first to last; CPython specializes indexing for exact tuples only
+    pending = [(0, tuple(g)) for g in reversed(generators)]
+    while pending:
+        k, g = pending.pop()
+        h = g
         for i in range(k, degree):
-            if g[i] != i:  # a fixed base point sifts by the identity
-                rep = reps[i].get(g[i])
+            if h[i] != i:  # a fixed base point sifts by the identity
+                rep = reps[i].get(h[i])
                 if rep is None:
-                    return False
-                g = tuple([rep[1][x] for x in g])
-        return True
-
-    def add(k: int, g: tuple[int, ...]) -> None:
-        if sifts(k, g):
-            return
+                    break
+                h = tuple([rep[1][x] for x in h])
+        else:
+            continue  # g sifts through the chain: it is in the group so far
+        while g[k] == k and len(reps[k]) == 1:
+            strong[k].append(g)
+            k += 1
         strong[k].append(g)
         # products s * u of a strong generator and a representative, each
         # pair taken once: the new g with every old u here, and every s
@@ -182,10 +188,7 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
             else:
                 schreier = tuple([rep[1][x] for x in h])
                 if schreier != identity:
-                    add(k + 1, schreier)
-
-    for g in generators:
-        add(0, tuple(g))  # CPython specializes indexing for exact tuples only
+                    pending.append((k + 1, schreier))
     return reps
 
 
@@ -329,7 +332,8 @@ class PermutationGroup:
         """(largest orbit length, largest shortest-orbit length, number
         of bisecting elements) over the elements of the group."""
         n, order = self.degree, self.order
-        full = factorial(n)
+        # S_n and A_n move all points left at levels 0..n-3; 0 matches no order
+        full = factorial(n) if all(len(self._reps[k]) == n - k for k in range(n - 2)) else 0
         # for even n, S_n has n!/z = 2(n-1)!/n elements of cycle type
         # (n/2, n/2), z = (n/2)^2 * 2!, all of them even
         bisecting = 2 * full // n**2 if n % 2 == 0 else 0

@@ -34,9 +34,9 @@ Both read the residue record ``Field.at(p)``, made once per field and
 Factorization mod p, used only by ``splitting_type`` (and so by
 callers that want the shape of ``p`` itself), is one distinct-degree
 loop over f mod p itself, which counts multiplicities as it divides
-factors out, with randomized equal-degree splitting.  The draws come
-from a fixed ``random.Random(0)`` stream, and the sorted factor list
-does not depend on them anyway.
+factors out, then equal-degree splitting by the trials u whose
+coefficients are the base-p digits of p, p + 1, ...: by CRT one of the
+nonconstant u of degree < deg f splits (*Modern Computer Algebra* §14.3).
 
 Every modulus ``p`` must be an ``int`` (``TypeError`` otherwise) and
 prime (``ValueError`` otherwise), and ``is_prime`` refuses, also with
@@ -303,17 +303,18 @@ def _pow_mod(base, e, mod, p):
 # ---------------------------------------------------------------------
 # factorization mod p
 
-def _equal_degree(f, d, p, rng):
+def _equal_degree(f, d, p, first):
     """Split squarefree monic ``f``, a product of irreducibles all of
-    degree ``d``, into those irreducibles (Cantor-Zassenhaus)."""
+    degree ``d``, into those irreducibles (Cantor-Zassenhaus), from the
+    trial with digits ``first`` on: no earlier trial splits ``f``."""
     n = _deg(f)
     if n == d:
         return [f]
-    while True:
-        u = [rng.randrange(p) for _ in range(n)]
-        u = _trim(u)
-        if _deg(u) < 1:
-            continue
+    for i in range(first, p**n):
+        u, j = [], i
+        while j:
+            j, c = divmod(j, p)
+            u.append(c)
         if p == 2:
             # trace map u + u^2 + u^4 + ... splits over GF(2), where
             # adding is subtracting
@@ -327,9 +328,7 @@ def _equal_degree(f, d, p, rng):
             v = _pow_mod(u, (p**d - 1) // 2, f, p)
             g = _gcd(f, _sub(v, [1], p), p)
         if 0 < _deg(g) < n:
-            return _equal_degree(g, d, p, rng) + _equal_degree(
-                _divmod(f, g, p)[0], d, p, rng
-            )
+            return _equal_degree(g, d, p, i + 1) + _equal_degree(_divmod(f, g, p)[0], d, p, i + 1)
 
 
 def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
@@ -337,7 +336,7 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
 
     Returns ``[(g, multiplicity), ...]`` with each ``g`` a tuple of
     ascending coefficients, sorted by (degree, coefficients) so output
-    is canonical whatever the randomized equal-degree stage draws.
+    is canonical whichever trial splits each equal-degree product.
     A unit leading coefficient is normalized away, so the product of
     the factors is the monic normalization of ``f`` mod ``p``.
 
@@ -350,13 +349,10 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
     the quotient, those of multiplicity m.  Once deg rest < 2(d + 1),
     rest is irreducible or 1.
     """
-    import random  # here, not at the top: no command factors, so none loads it
-
     fb = _reduce_mod_prime(f, p)
     if not fb:
         raise ValueError("polynomial vanishes mod p")
     rest = _monic(fb, p)
-    rng = random.Random(0)
     factors = []
     x = h = [0, 1]
     d = 0
@@ -370,7 +366,7 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
             more = _gcd(rest, g, p)  # the factors of multiplicity > m
             once = _divmod(g, more, p)[0]
             if _deg(once) > 0:
-                factors += [(tuple(q), m) for q in _equal_degree(once, d, p, rng)]
+                factors += [(tuple(q), m) for q in _equal_degree(once, d, p, p)]
             g = more
     if _deg(rest) > 0:
         factors.append((tuple(rest), 1))

@@ -56,6 +56,9 @@ FLOAT_RANGE_ERROR = (
 # FORM's row at p=3 when hecke_poly = x^2 + 1 mod 3 and a_p = 1 or 1 + x there: defect 0
 ANALYZED_AT_3 = '3\tanalyzed\t0\ttrue\t[["0","0"],["2","0"],["4","2"]]\tnot_applicable'
 
+# the default closure cap, met by a group of 2^500 elements
+CAP_ERROR = "error: data: closure exceeds cap of 1000000 elements\n"
+
 # the label is shown escaped on one line; nothing goes to stdout
 UNPRINTABLE_LABEL_ERROR = (
     "error: data: record #0: label 'bad\\tlabel\\nx' has an unprintable character\n"
@@ -228,6 +231,11 @@ class TestSlope:
     )
     def test_degree_ten_symmetric_and_alternating(self, capsys, gens, expected):
         assert run(capsys, ["slope", "--gens", ";".join(gens), "--n", "10"]) == (0, expected, "")
+
+    def test_deep_chain_is_one_data_error(self, capsys):
+        # C_2^500 on 1000 points: a stabilizer chain 500 levels deep
+        gens = ";".join(f"({2 * i} {2 * i + 1})" for i in range(500))
+        assert run(capsys, ["slope", "--gens", gens, "--n", "1000"]) == (2, "", CAP_ERROR)
 
     def test_bad_generator_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["slope", "--gens", "(0 9)", "--n", "4"])
@@ -573,6 +581,14 @@ class TestClassify:
             2, "", "error: data: record 'demo.sqrt2', field 'interact': "
             "deg_K must be an integer, got True\n"
         )
+
+    def test_deep_chain_is_one_data_error(self, capsys, tmp_path):
+        # C_2^500 acting on the 1000 embeddings of x^1000 + 1
+        gens = [f"({2 * i} {2 * i + 1})" for i in range(500)]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps([dict(FORM, hecke_poly=[1] + [0] * 999 + [1], galois_degree=1000,
+                                         galois_gens=gens, ap=[])]))
+        assert run(capsys, ["classify", str(path)]) == (2, "", CAP_ERROR)
 
     @pytest.mark.parametrize("assumption", ["tST(3)\n", "tST(\u0663)"], ids=["newline", "arabic_digit"])
     def test_tst_index_is_ascii_digits_only(self, capsys, tmp_path, assumption):

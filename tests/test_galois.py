@@ -251,6 +251,31 @@ class TestGroupClosure:
         with pytest.raises(ClosureCapExceeded):
             c2_200.slope()
 
+    def test_deep_chains_without_recursion(self):
+        # each level of a chain once held one Python frame: C_2^500 is 500
+        # levels deep, and a transposition of the last two of 1000 points
+        # passes 998 levels that fix it
+        c2_500 = PermutationGroup.parse(";".join(f"({2 * i} {2 * i + 1})" for i in range(500)), 1000)
+        assert c2_500.order == 2**500
+        with pytest.raises(ClosureCapExceeded):
+            c2_500.has_bisecting()
+        late = PermutationGroup.parse("(998 999)", 1000)
+        assert late.max_orbit_length() == 2
+        assert late.bisecting_fraction() == 0
+
+    @pytest.mark.parametrize(
+        "gens, n, calls",
+        [("(0 1)", 4096, 0), ("(0 1 2 3 4 5 6 7 8 9 10 11)", 12, 0), ("S6", 6, 1), ("A6", 6, 1)],
+        ids=["transposition-4096", "C12", "S6", "A6"],
+    )
+    def test_factorial_only_for_symmetric_and_alternating_profiles(self, monkeypatch, gens, n, calls):
+        gens = {"S6": _symmetric(6), "A6": _alternating(6)}.get(gens, gens)
+        seen = []
+        monkeypatch.setattr(galois, "factorial", lambda m: seen.append(m) or factorial(m))
+        group = PermutationGroup.parse(gens, n)
+        group.bisecting_fraction()
+        assert seen == [n] * calls
+
 
 class TestOrbitInvariants:
     @pytest.mark.parametrize(

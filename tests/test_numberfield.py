@@ -1,10 +1,12 @@
 """Finite-field factorization, prime splitting, defect computations, and
 the field-interaction rules."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import stdlib_contract
 from conftest import poly_mul_mod, primes_below, quadratic_defect
 from heckeslopes.numberfield import (
     FACT_BISECTION_TRANSFERS,
@@ -30,6 +32,22 @@ from heckeslopes.numberfield import (
 
 X = (0, 1)  # the rational field presented as Q[x]/(x)
 SQRT2 = (-2, 0, 1)
+
+
+def _irreducible_count(p, e):
+    """Gauss: the monic irreducibles of degree e over GF(p) number
+    (1/e) * sum over k | e of mu(k) * p^(e/k)."""
+    def mobius(k):
+        sign = 1
+        for q in range(2, k + 1):
+            if k % q == 0:
+                k //= q
+                if k % q == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    return sum(mobius(k) * p ** (e // k) for k in range(1, e + 1) if e % k == 0) // e
 
 
 class TestFactorModP:
@@ -82,6 +100,38 @@ class TestFactorModP:
                 for _ in range(m):
                     prod = poly_mul_mod(prod, list(g), p)
             assert prod == [c % p for c in f]
+
+    def test_factoring_draws_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factor_mod_p drew from random")
+
+        monkeypatch.setattr(random, "Random", refuse)
+        for p, d in [(2, 4), (3, 3), (5, 2)]:
+            # x^(p^d) - x: every monic irreducible of degree e | d, once
+            f = [0, p - 1] + [0] * (p**d - 2) + [1]
+            factors = factor_mod_p(f, p)
+            prod = [1]
+            for g, m in factors:
+                assert m == 1
+                prod = poly_mul_mod(prod, list(g), p)
+            assert prod == f
+            degrees = Counter(len(g) - 1 for g, _ in factors)
+            assert degrees == {e: _irreducible_count(p, e) for e in range(1, d + 1) if d % e == 0}
+        p = 10007
+        roots = [(7 * r * r + 3) % p for r in range(25)]  # distinct: r*r is, for r < p/2
+        f = [1]
+        for r in roots:
+            f = poly_mul_mod(f, [-r % p, 1], p)
+        assert factor_mod_p(f, p) == sorted(((-r % p, 1), 1) for r in roots)
+
+    def test_fresh_process_loads_no_random(self, tmp_path):
+        probe = (
+            "import sys; from heckeslopes.numberfield import factor_mod_p, splitting_type; "
+            "splitting_type((1, 1, 1, 1, 1, 1, 1), 2); factor_mod_p((0, -1) + (0,) * 23 + (1,), 5); "
+            "print('random' in sys.modules)"
+        )
+        proc = stdlib_contract.python(tmp_path, "-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
