@@ -161,11 +161,11 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
         k, g = pending.pop()
         h = g
         for i in range(k, degree):
-            if h[i] != i:  # a fixed base point sifts by the identity
+            if h[i] != i:  # a fixed point sifts by the identity: what is composed has degree >= 2
                 rep = reps[i].get(h[i])
                 if rep is None:
                     break
-                h = tuple([rep[1][x] for x in h])
+                h = itemgetter(*h)(rep[1])
         else:
             continue  # g sifts through the chain: it is in the group so far
         while g[k] == k and len(reps[k]) == 1:
@@ -175,7 +175,7 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
         # products s * u of a strong generator and a representative, each
         # pair taken once: the new g with every old u here, and every s
         # with each new u below
-        todo = [tuple([g[x] for x in u]) for u, _ in reps[k].values()]
+        todo = [itemgetter(*u)(g) for u, _ in reps[k].values()]
         while todo:
             h = todo.pop()
             rep = reps[k].get(h[k])
@@ -184,9 +184,9 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
                 for i, j in enumerate(h):
                     inverse[j] = i
                 reps[k][h[k]] = (h, tuple(inverse))
-                todo.extend(tuple([s[x] for x in h]) for s in strong[k])
+                todo.extend(map(itemgetter(*h), strong[k]))
             else:
-                schreier = tuple([rep[1][x] for x in h])
+                schreier = itemgetter(*h)(rep[1])
                 if schreier != identity:
                     pending.append((k + 1, schreier))
     return reps

@@ -29,14 +29,13 @@ Bézout matrix of (f, f') for f of degree n, once per ``Field``.
 Coordinates must be ``int`` or ``Fraction`` (``TypeError`` otherwise).
 
 Both read the residue record ``Field.at(p)``, made once per field and
-``int`` prime: it checks p once and keeps f mod p and the split verdict.
-
-Factorization mod p, used only by ``splitting_type`` (and so by
-callers that want the shape of ``p`` itself), is one distinct-degree
-loop over f mod p itself, which counts multiplicities as it divides
-factors out, then equal-degree splitting by the trials u whose
-coefficients are the base-p digits of p, p + 1, ...: by CRT one of the
-nonconstant u of degree < deg f splits (*Modern Computer Algebra* §14.3).
+``int`` prime: it checks p once and keeps f mod p, the ramified verdict
+p | disc(f), the split verdict and the one factorization of f mod p,
+which only ``splitting_type`` asks for: one distinct-degree loop over
+f mod p itself, counting multiplicities as it divides factors out, then
+equal-degree splitting by the trials u whose coefficients are the
+base-p digits of p, p + 1, ...: by CRT one of the nonconstant u of
+degree < deg f splits (*Modern Computer Algebra* §14.3).
 
 Every modulus ``p`` must be an ``int`` (``TypeError`` otherwise) and
 prime (``ValueError`` otherwise), and ``is_prime`` refuses, also with
@@ -129,21 +128,25 @@ class Field(tuple):
 
 
 class Residue:
-    """f mod p for a ``Field`` f and a prime p, which is checked once, as
-    every modulus is.  Reading ``fb`` raises a new ``RamifiedPrimeError``
-    each time when p | disc(f), where f mod p has a repeated factor."""
+    """f mod p for a ``Field`` f and a prime p, checked once, with
+    ``ramified`` (p | disc(f)) and, on first use, the split verdict and
+    ``factors``, the one factorization of f mod p.  Reading ``fb`` raises
+    a new ``RamifiedPrimeError`` each time when ``ramified``."""
 
     def __init__(self, f: Field, p: int):
-        fb = _reduce_mod_prime(f, p)
-        # the Dedekind criterion will separate genuine ramification
-        # from index divisors (IndexWarningError) here
-        self.p, self._fb = p, None if len(f) > 1 and f.disc % p == 0 else tuple(fb)
+        self.p, self._fb = p, tuple(_reduce_mod_prime(f, p))
+        # the Dedekind criterion will tell index divisors (IndexWarningError) apart here
+        self.ramified = len(f) > 1 and f.disc % p == 0
 
     @property
     def fb(self) -> tuple[int, ...]:
-        if self._fb is None:
+        if self.ramified:
             raise RamifiedPrimeError(f"p={self.p} ramifies in the field")
         return self._fb
+
+    @functools.cached_property
+    def factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple(factor_mod_p(self._fb, self.p))  # by name, so a wrapper on it counts calls
 
     @functools.cached_property
     def splits(self) -> bool:
@@ -378,11 +381,11 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
 # splitting data and congruences
 
 class PrimeSplitting(NamedTuple):
-    """Shape of ``p`` in K: the factors of f mod p with multiplicities
-    (the ramification indices when Z[x] is maximal at p) and their
-    residue degrees.  ``ramified`` marks a repeated factor, which for
-    monic f happens exactly when p | disc(f); whether p ramifies in K
-    itself or only divides the index needs the Dedekind criterion."""
+    """Shape of ``p`` in K from the residue record: the factors of f mod
+    p with multiplicities (the ramification indices when Z[x] is maximal
+    at p) and their residue degrees.  ``ramified`` is p | disc(f), for
+    monic f exactly a repeated factor; whether p ramifies in K itself or
+    only divides the index needs the Dedekind criterion."""
 
     p: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
@@ -391,18 +394,18 @@ class PrimeSplitting(NamedTuple):
 
 
 def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
-    """Factor the defining polynomial mod ``p`` and package the shape.
+    """Package the shape of ``p`` kept on the residue record ``Field(f).at(p)``.
 
     ``f`` must be monic and ``p`` prime; irreducibility over Q is the
     caller's claim.  The degree identity sum(e_i * f_i) = deg f always
     holds.
     """
-    factors = tuple(factor_mod_p(Field(f), p))
+    res = Field(f).at(p)
     return PrimeSplitting(
         p=p,
-        factors=factors,
-        residue_degrees=tuple(len(g) - 1 for g, _ in factors),
-        ramified=any(e > 1 for _, e in factors),
+        factors=res.factors,
+        residue_degrees=tuple(len(g) - 1 for g, _ in res.factors),
+        ramified=res.ramified,
     )
 
 

@@ -27,7 +27,7 @@ What belongs to a field is computed once per file: each distinct
 generator list is parsed once, records with equal generators share one
 ``PermutationGroup``, and records with equal polynomials share one
 ``numberfield.Field``, with its discriminant, roots and residue record
-per prime (f mod p and the split verdict).  Each distinct a_p
+per prime (f mod p, the ramified and split verdicts).  Each distinct a_p
 coordinate string is parsed once per file too, through a memo keyed by
 the string alone.
 
@@ -60,7 +60,6 @@ from .numberfield import (
     interact_rules,
     is_prime,
     k_of_p,
-    splits_completely,
     weil_bound_check,
 )
 from .polygon import SlopeMultiset, _exact, frobenius_polygon, hodge_polygon, vertices_payload
@@ -438,13 +437,8 @@ def _analyze_entry(
     p = entry.p
     if not entry.split_in_F:
         return PrimeReport(p, STATUS_SKIPPED_NONSPLIT)
-    try:
-        split = splits_completely(rec.field_poly, p)
-    except RamifiedPrimeError:
-        # field_poly has a repeated factor mod p: its roots cannot
-        # refute the claim, and the analysis never uses it
-        split = True
-    if not split:
+    base = Field(rec.field_poly).at(p)  # the record's own Field, unless built by hand
+    if not (base.ramified or base.splits):  # ramified: roots mod p cannot refute the claim
         raise DataError(
             f"record {rec.label!r}: p={p} is flagged split_in_F but the base "
             "field polynomial does not split into distinct linear factors mod p"

@@ -168,6 +168,8 @@ def tail_constant_closed_form(k: int) -> float:
     asymptotically 1/(pi*2^(k-2))."""
     if k < 2:
         raise ValueError("closed form applies to k >= 2 (t=1 < k)")
+    if k > 1074:
+        raise ValueError("closed form needs k <= 1074: beyond it 2^-k is below the float range (down to 2^-1074)")
     u = 2.0 ** (-k)
     return (2.0 / pi) * (u * sqrt(1.0 - u * u) + asin(u))
 

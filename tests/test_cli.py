@@ -148,6 +148,11 @@ class TestPolygon:
         # n = 2^20 already takes seconds; far past it, memory runs out
         (["slope", "--gens", "(0 1)", "--n", "1048577"], "--n allows at most 2^20 points"),
         (["slope", "--gens", "(0 1)", "--n", "99999999999999999999"], "--n allows at most 2^20 points"),
+        # 2^-1075 rounds to 0, which the closed form would report as the constant
+        (
+            ["stc", "--k", "1075", "--t", "1", "--method", "closed"],
+            "closed form needs k <= 1074: beyond it 2^-k is below the float range (down to 2^-1074)",
+        ),
     ]
 
     @pytest.mark.parametrize(

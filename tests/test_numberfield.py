@@ -8,6 +8,7 @@ import pytest
 
 import stdlib_contract
 from conftest import poly_mul_mod, primes_below, quadratic_defect
+from heckeslopes import numberfield
 from heckeslopes.numberfield import (
     FACT_BISECTION_TRANSFERS,
     FACT_SLOPE_EQUALS_RATIONAL_BASE,
@@ -167,6 +168,21 @@ class TestSplittingType:
             disc = discriminant(f)
             for p in primes_below(30):
                 assert splitting_type(f, p).ramified is (disc % p == 0)
+
+    def test_factored_once_per_prime_on_the_field(self, monkeypatch):
+        calls = Counter()
+
+        def counted(f, p):
+            calls[p] += 1
+            return factor_mod_p(f, p)
+
+        monkeypatch.setattr(numberfield, "factor_mod_p", counted)
+        field = Field((-1, -1, 0, 1))
+        for _ in range(2):
+            shapes = [splitting_type(field, p) for p in (2, 3, 5, 23)]
+        assert calls == Counter({2: 1, 3: 1, 5: 1, 23: 1})
+        assert [s.residue_degrees for s in shapes] == [(3,), (3,), (1, 2), (1, 1)]
+        assert [s.ramified for s in shapes] == [False, False, False, True]
 
 
 class TestDiscriminant:
@@ -404,6 +420,17 @@ class TestField:
         # an equal key that is not an int is refused as for a bare polynomial
         with pytest.raises(TypeError):
             splits_completely(field, 7.0)
+
+    def test_ramified_record_keeps_f_mod_p_and_its_factors(self):
+        res = Field(SQRT2).at(2)
+        assert res.ramified is True and res.factors == (((0, 1), 2),)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(RamifiedPrimeError, match="^p=2 ramifies in the field$") as caught:
+                res.fb
+            errors.append(caught.value)
+        assert errors[0] is not errors[1]
+        assert Field(SQRT2).at(7).ramified is False and Field(SQRT2).at(7).fb == (5, 0, 1)
 
 
 class TestHalfBound:

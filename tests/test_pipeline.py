@@ -428,6 +428,12 @@ class TestAnalysis:
             analysis = analyze_form(rec)
             assert analysis.summary.n_analyzed > 0
 
+    def test_records_built_with_plain_tuples_analyze_alike(self):
+        for rec in load_forms(DATA / "golden_forms.json"):
+            plain = rec._replace(field_poly=tuple(rec.field_poly), hecke_poly=tuple(rec.hecke_poly))
+            assert type(plain.field_poly) is tuple
+            assert analyze_form(plain) == analyze_form(rec)._replace(record=plain)
+
     def test_one_polygon_per_defect_one_discriminant_per_polynomial(self, monkeypatch):
         calls = {"frobenius_polygon": 0, "leq_strict": 0, "_bareiss_det": 0, "embeddings": 0, "weil": 0}
 

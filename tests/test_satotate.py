@@ -100,6 +100,13 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             tail_constant_closed_form(0)
 
+    def test_refuses_k_where_the_float_underflows(self):
+        # 2^-1074 is the least positive float; 2^-1075 rounds to 0
+        assert tail_constant_closed_form(1074) == tail_constant(1074, 1, method=METHOD_CLOSED).value == 5e-324
+        for k in (1075, 2000):
+            with pytest.raises(ValueError, match=r"^closed form needs k <= 1074: .*float range"):
+                tail_constant_closed_form(k)
+
 
 class TestOracleAgreement:
     """The grid-convolution oracle certifies the frozen truth table."""
