@@ -20,12 +20,13 @@ lies in every prime and the full degree is returned with a flag).  So
 ``Defect(0, False)``.  When p does not divide disc(f), f mod p is
 squarefree, its factors are distinct, and k(p) = deg gcd(f mod p,
 a mod p) (Cohen, *A Course in Computational Algebraic Number Theory*,
-3.4): ``k_of_p`` takes one gcd and never factors.  In the same way
-``splits_completely`` counts the roots of ``f`` mod ``p`` as
-deg gcd(x^p - x, f mod p), with x^p mod f taken left to right (square,
-then multiply by x); a linear f splits with no power at all.
-Euclid's remainders build no quotient.  disc(f) comes from the n-square
-Bézout matrix of (f, f') for f of degree n, once per ``Field``.
+3.4): ``k_of_p`` reads the degree of the last nonzero remainder of one
+Euclid, run in place and top down with no quotient and no monic; it
+never factors.  ``splits_completely`` takes no gcd: f mod p divides
+x^p - x, so splits, exactly when x^p ≡ x mod f (*Modern Computer
+Algebra* ch. 14), x^p mod f taken left to right, each square and each
+product by x reduced in one loop; a linear f needs no power.  disc(f)
+comes from the n-square Bézout matrix of (f, f'), once per ``Field``.
 Coordinates must be ``int`` or ``Fraction`` (``TypeError`` otherwise).
 
 Both read the residue record ``Field.at(p)``, made once per field and
@@ -150,9 +151,9 @@ class Residue:
 
     @functools.cached_property
     def splits(self) -> bool:
-        """deg gcd(x^p - x, f mod p) = deg f, at once for a linear f."""
+        """x^p ≡ x mod f mod p (f mod p divides x^p - x), at once for a linear f."""
         fb, p, x = self.fb, self.p, [0, 1]
-        return len(fb) <= 2 or _deg(_gcd(fb, _sub(_pow_mod(x, p, fb, p), x, p), p)) == _deg(fb)
+        return len(fb) <= 2 or _pow_mod(x, p, fb, p) == x
 
 
 # ---------------------------------------------------------------------
@@ -232,17 +233,6 @@ def _sub(f, g, p):
                   for i in range(n)])
 
 
-def _mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
 def _monic(f, p):
     if not f:
         return []
@@ -268,38 +258,46 @@ def _divmod(f, g, p):
     return _trim(q), _trim(f)
 
 
-def _mod(f, g, p):
-    """``f`` mod ``g`` over GF(p), without the quotient; only each step's
-    leading entry is reduced mod p on the way, the rest once at the end."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = _deg(g)
-    inv = pow(g[-1], p - 2, p)
-    for top in range(len(f) - 1, dg - 1, -1):
-        coef = f[top] * inv % p
-        if coef:
-            shift = top - dg
-            for i in range(dg):
-                f[shift + i] -= coef * g[i]
-    del f[dg:]
-    return _reduce(f, p)
+def _euclid(f, g, p):
+    """The last nonzero remainder of Euclid on ``f`` and ``g`` over GF(p),
+    coefficients in [0, p), ``g`` trimmed and ``f`` too if ``g`` is zero: a
+    gcd, not monic.  Each division runs in place, top down, with no
+    quotient; a constant remainder ends it."""
+    f, g = list(f), list(g)
+    while len(g) > 1:
+        dg, neg_inv = len(g) - 1, p - pow(g[-1], p - 2, p)
+        while len(f) > dg:
+            coef = f.pop() * neg_inv % p
+            if coef:
+                shift = len(f) - dg
+                for i in range(dg):
+                    f[shift + i] = (f[shift + i] + coef * g[i]) % p
+        f, g = g, _trim(f)
+    return g or f
 
 
 def _gcd(f, g, p):
-    while g:
-        f, g = g, _mod(f, g, p)
-    return _monic(f, p)
+    return _monic(_euclid(f, g, p), p)
 
 
 def _pow_mod(base, e, mod, p):
-    """base^e mod ``mod`` over GF(p), left to right: square, then for a
-    1 bit multiply by base, for base x a product linear in the degree."""
+    """base^e mod ``mod`` over GF(p) for a base of any degree, left to right:
+    square, then for a 1 bit multiply by base, each reduced in the same loop."""
+    n, low, neg_inv = _deg(mod), mod[:-1], p - pow(mod[-1], p - 2, p)
     result = [1]
     for bit in bin(e)[2:]:
-        result = _mod(_mul(result, result, p), mod, p)
-        if bit == "1":
-            result = _mod(_mul(result, base, p), mod, p)
+        for other in (result, base) if bit == "1" else (result,):
+            prod = [0] * (len(result) + len(other) - 1)
+            for i, a in enumerate(result):
+                if a:
+                    for j, b in enumerate(other, i):
+                        prod[j] += a * b
+            while len(prod) > n:
+                coef = prod.pop() * neg_inv % p
+                if coef:
+                    for i, b in enumerate(low, len(prod) - n):
+                        prod[i] += coef * b
+            result = _reduce(prod, p)
     return result
 
 
@@ -450,9 +448,10 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
 
     Refuses primes dividing disc(f), computed once per ``Field`` (the
     residue correspondence is unreliable there).  Otherwise f mod p is
-    squarefree and the defect is deg gcd(f mod p, a mod p), so nothing
-    is factored.  The zero element lies in every prime: the full field
-    degree is returned with ``all_primes=True`` rather than silently.
+    squarefree and the defect is deg gcd(f mod p, a mod p), the degree of
+    one in-place Euclid's last nonzero remainder, so nothing is factored.
+    The zero element lies in every prime: the full field degree is
+    returned with ``all_primes=True`` rather than silently.
     """
     fb = Field(f).at(p).fb
     n = _deg(fb)
@@ -461,7 +460,7 @@ def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
     if not any(a):
         return Defect(n, True)
     # a = 0 mod p gives gcd(fb, 0) = fb: every prime above p
-    return Defect(_deg(_gcd(fb, apoly, p)), False)
+    return Defect(_deg(_euclid(fb, apoly, p)), False)
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:

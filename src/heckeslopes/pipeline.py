@@ -48,7 +48,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import DataError, SchemaError
-from .galois import Permutation, PermutationGroup
 from .numberfield import (
     FACT_SLOPE_ZERO_OVER_F,
     FACT_SLOPE_ZERO_OVER_F_TILDE,
@@ -331,6 +330,7 @@ def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = N
         raw_key = (degree, tuple(gens_raw))
         galois_action = shared.get(raw_key)
         if galois_action is None:
+            from .galois import Permutation, PermutationGroup  # here: a file with no group never loads galois
             try:
                 gens = [Permutation.parse(s, degree) for s in gens_raw]
             except ValueError as exc:

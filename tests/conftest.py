@@ -84,41 +84,83 @@ def quadratic_defect(u: int, v: int, d: int, p: int) -> int:
     return 0
 
 
+def _trim(g):
+    while g and g[-1] == 0:
+        g.pop()
+    return g
+
+
+def poly_rem_mod(f, g, p: int) -> list[int]:
+    """Remainder of ``f`` by ``g`` over GF(p), trimmed, by schoolbook
+    long division (coefficients ascending; ``g`` has a leading
+    coefficient prime to p)."""
+    f = _trim([c % p for c in f])
+    g = _trim([c % p for c in g])
+    inv = pow(g[-1], -1, p)
+    while len(f) >= len(g):
+        q, shift = f[-1] * inv % p, len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] = (f[shift + i] - q * c) % p
+        _trim(f)
+    return f
+
+
+def gcd_degree_mod_p(f, g, p: int) -> int:
+    """deg gcd(f, g) over GF(p), by Euclid on ``poly_rem_mod``; -1 when
+    both vanish mod p."""
+    f, g = _trim([c % p for c in f]), _trim([c % p for c in g])
+    while g:
+        f, g = g, poly_rem_mod(f, g, p)
+    return len(f) - 1
+
+
 def repeated_factor_mod_p(f, p: int) -> bool:
     """Whether monic ``f`` has a repeated factor mod the prime ``p``:
     gcd(f mod p, f' mod p) is nonconstant.  The library's per-prime test
     before it read the same answer from p | disc(f); kept as its
-    reference, with its own Euclid over GF(p)."""
-
-    def trim(g):
-        while g and g[-1] == 0:
-            g.pop()
-        return g
-
-    a = trim([c % p for c in f])
-    b = trim([i * c % p for i, c in enumerate(f)][1:])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * c) % p
-            trim(a)
-        a, b = b, a
-    return len(a) > 1
+    reference."""
+    return gcd_degree_mod_p(f, [i * c for i, c in enumerate(f)][1:], p) > 0
 
 
 def divides_mod_p(g, f, p: int) -> bool:
-    """Whether the monic ``g`` divides ``f`` over GF(p), by schoolbook
-    long division of ``f`` mod ``p`` (coefficients ascending)."""
-    f = [c % p for c in f]
-    while len(f) >= len(g):
-        q, shift = f[-1], len(f) - len(g)
-        for i, c in enumerate(g):
-            f[shift + i] = (f[shift + i] - q * c) % p
-        f.pop()
-    return not any(f)
+    """Whether ``g`` divides ``f`` over GF(p)."""
+    return not poly_rem_mod(f, g, p)
+
+
+def rank_defect_mod_p(a, f, p: int) -> int:
+    """n - rank over GF(p) of multiplication by ``a`` on GF(p)[x]/(f), for
+    monic ``f`` of degree n, by Gaussian elimination mod p.  When f mod p
+    is squarefree the ring is the product of the residue fields of the
+    primes above p, and the kernel is the product of those containing a,
+    so this is the defect k(p) with no gcd and no factorization."""
+    n = len(f) - 1
+    rows = [poly_rem_mod(poly_mul_mod(a, [0] * j + [1], p), f, p) for j in range(n)]
+    rows = [r + [0] * (n - len(r)) for r in rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(n):
+            if r != rank and rows[r][col]:
+                c = rows[r][col] * inv % p
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return n - rank
+
+
+def splits_by_roots(f, p: int) -> bool:
+    """Whether ``f`` has deg f distinct roots among 0 .. p - 1, each
+    found by evaluating f there."""
+    def value(r):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+        return acc
+
+    return sum(value(r) == 0 for r in range(p)) == len(f) - 1
 
 
 def sylvester_discriminant(f) -> int:

@@ -1,10 +1,13 @@
 """Property-based tests: long division mod p gives f = q*g + r with
-deg r < deg g, the remainder alone and the monic gcd agree with it, the
+deg r < deg g, the monic gcd divides both and Euclid's last remainder
+has the reference gcd degree, the modular power agrees with repeated
+schoolbook products and remainders, the
 discriminant agrees with a Sylvester determinant over Fraction, the
 factorization mod p is a product of distinct
-irreducibles (checked by trial division), the gcd forms of the defect
-and of the split test agree with the factorization they replace, their
-refusals agree with the per-prime gcd(f, f') test, a list, a tuple and
+irreducibles (checked by trial division), the defect agrees with a
+rank mod p and the split test with a count of roots, with refusals
+exactly where p divides the Sylvester discriminant and where the
+per-prime gcd(f, f') test finds a repeated factor, a list, a tuple and
 one shared ``Field`` get the same answers in any order (the same
 refusal and message too, whatever the modulus), and the root
 finder agrees with numpy's companion-matrix roots and, bit for bit,
@@ -14,21 +17,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     divides_mod_p,
     fraction_embeddings,
+    gcd_degree_mod_p,
     poly_mul_mod,
+    poly_rem_mod,
+    rank_defect_mod_p,
     repeated_factor_mod_p,
+    splits_by_roots,
     sylvester_discriminant,
 )
 from heckeslopes.numberfield import (
     Field,
     _divmod,
+    _euclid,
     _gcd,
-    _mod,
+    _pow_mod,
     _horner,
     _scaled_value,
     RamifiedPrimeError,
@@ -95,7 +103,7 @@ def test_k_of_p_matches_factorization_oracle(fa, p, rng):
     rng.shuffle(order)
     assert [_answer(questions[i], field) for i in order] == [answers[i] for i in order]
 
-    if splitting_type(f, p).ramified:
+    if sylvester_discriminant(f) % p == 0:
         with pytest.raises(RamifiedPrimeError):
             k_of_p(a, f, p)
         return
@@ -103,8 +111,7 @@ def test_k_of_p_matches_factorization_oracle(fa, p, rng):
     if not any(a):
         assert defect == (len(f) - 1, True)
         return
-    expected = sum(len(g) - 1 for g, _ in factor_mod_p(f, p) if divides_mod_p(g, a, p))
-    assert defect == (expected, False)
+    assert defect == (rank_defect_mod_p(a, f, p), False)
 
 
 def _outcome(question, *args):
@@ -148,15 +155,11 @@ def test_residue_records_keep_every_refusal(data):
 @settings(max_examples=300, deadline=None)
 @given(monic_poly(), prime_st)
 def test_splits_completely_matches_splitting_shape(f, p):
-    split = splitting_type(f, p)
-    if split.ramified:
+    if sylvester_discriminant(f) % p == 0:
         with pytest.raises(RamifiedPrimeError):
             splits_completely(f, p)
         return
-    expected = len(split.factors) == len(f) - 1 and all(
-        deg == 1 for deg in split.residue_degrees
-    )
-    assert splits_completely(f, p) == expected
+    assert splits_completely(f, p) == splits_by_roots(f, p)
 
 
 @settings(max_examples=400, deadline=None)
@@ -196,13 +199,27 @@ def test_divmod_is_long_division(fgp, low):
         assert (not h or h[-1] != 0) and all(0 <= c < p for c in h)
     terms = itertools.zip_longest(poly_mul_mod(q, g, p), r, f, fillvalue=0)
     assert all((a + b - c) % p == 0 for a, b, c in terms)
-    assert _mod(f, g, p) == r
     d = _gcd(f, g, p)
     assert d[-1] == 1 and all(0 <= c < p for c in d)
     assert divides_mod_p(d, f, p) and divides_mod_p(d, g, p)
+    assert len(_euclid(f, g, p)) - 1 == gcd_degree_mod_p(f, g, p) == len(d) - 1
     # a planted common factor h: gcd(f h, g h) = gcd(f, g) h
     h = [c % p for c in low] + [1]
     assert _gcd(poly_mul_mod(f, h, p), poly_mul_mod(g, h, p), p) == poly_mul_mod(d, h, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(division_mod_p(), st.integers(0, 40))
+@example(([0, 1], [1, 2, 1], 3), 0)  # e = 0
+@example(([1, 1, 0, 1], [1, 1, 1], 2), 13)  # p = 2
+@example(([], [4, 0, 1], 5), 7)  # a zero base
+@example(([3, 1, 4, 1, 5, 2, 6], [2, 1, 3], 7), 9)  # deg base >= deg modulus
+def test_pow_mod_is_repeated_multiplication(bgp, e):
+    base, mod, p = bgp
+    expected = poly_rem_mod([1], mod, p)
+    for _ in range(e):
+        expected = poly_rem_mod(poly_mul_mod(expected, base, p), mod, p)
+    assert _pow_mod(base, e, mod, p) == expected
 
 
 @st.composite

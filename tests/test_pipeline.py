@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeslopes import numberfield, pipeline, polygon, satotate
+from heckeslopes import galois, numberfield, pipeline, polygon, satotate
 from heckeslopes.pipeline import (
     CASE_BISECTION,
     CASE_CM,
@@ -622,8 +622,8 @@ class TestPerFileSharing:
 
     def test_each_generator_list_parsed_once(self, monkeypatch):
         parsed = []
-        parse = pipeline.Permutation.parse
-        monkeypatch.setattr(pipeline.Permutation, "parse", lambda s, n: parsed.append(s) or parse(s, n))
+        parse = galois.Permutation.parse
+        monkeypatch.setattr(galois.Permutation, "parse", lambda s, n: parsed.append(s) or parse(s, n))
         cubic = {"hecke_poly": [-2, 0, 0, 1], "ap": []}
         s3 = dict(cubic, galois_gens=["(0 1 2)", "(0 1)"], galois_degree=3)
         a, b, c = records_from_obj([

@@ -1,9 +1,11 @@
 """Fixed-value tests for slope multisets and the Frobenius polygon family."""
+import doctest
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
+from heckeslopes import polygon
 from heckeslopes.polygon import (
     EMPTY,
     TENSOR_IDENTITY,
@@ -224,3 +226,8 @@ class TestFrobeniusFamily:
         assert s.rank == 42 * 16
         assert s.integral == 42 * 4 * 8
         assert s.has_integral_breakpoints()
+
+
+def test_docstring_examples_run():
+    result = doctest.testmod(polygon)
+    assert result.attempted >= 3 and result.failed == 0
