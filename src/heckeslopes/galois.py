@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 from . import ClosureCapExceeded
 
@@ -149,8 +149,11 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
     the product of the orbit lengths.  One worklist, not recursion: an
     element popped at level k that does not sift through the chain joins
     ``strong[k]``, and each Schreier generator it makes (a product that
-    fixes k) is pushed at level k + 1, but one that fixes k while level
-    k holds only k (its own Schreier generator) passes straight to k + 1."""
+    fixes k) is pushed at level k + 1.  An element g that fixes k and
+    moves no point that the representatives of level k move commutes
+    with each of them, so every Schreier generator u^-1 * g * u it makes
+    is g itself (Seress §4.2): g passes straight to k + 1.  A level
+    holding only k moves nothing, so any g fixing k passes it."""
     identity = tuple(range(degree))
     reps = [{k: (identity, identity)} for k in range(degree)]
     strong: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
@@ -168,9 +171,12 @@ def _chain(degree: int, generators: Sequence[tuple[int, ...]]) -> list[dict]:
                 h = itemgetter(*h)(rep[1])
         else:
             continue  # g sifts through the chain: it is in the group so far
-        while g[k] == k and len(reps[k]) == 1:
-            strong[k].append(g)
-            k += 1
+        if g[k] == k:
+            support = [i for i, j in enumerate(g) if i != j]
+            while g[k] == k and (len(reps[k]) == 1 or all(
+                    u[i] == i for j, (u, _) in reps[k].items() if j != k for i in support)):
+                strong[k].append(g)
+                k += 1
         strong[k].append(g)
         # products s * u of a strong generator and a representative, each
         # pair taken once: the new g with every old u here, and every s

@@ -56,9 +56,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "Field",
@@ -85,7 +86,7 @@ __all__ = [
 ]
 
 IntPoly = Sequence[int]
-Coord = Union[int, Fraction]
+Coord = int | Fraction
 
 
 class RamifiedPrimeError(ArithmeticError):
@@ -378,17 +379,13 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[tuple[int, ...], int]]:
 # ---------------------------------------------------------------------
 # splitting data and congruences
 
-class PrimeSplitting(NamedTuple):
-    """Shape of ``p`` in K from the residue record: the factors of f mod
-    p with multiplicities (the ramification indices when Z[x] is maximal
-    at p) and their residue degrees.  ``ramified`` is p | disc(f), for
-    monic f exactly a repeated factor; whether p ramifies in K itself or
-    only divides the index needs the Dedekind criterion."""
-
-    p: int
-    factors: tuple[tuple[tuple[int, ...], int], ...]
-    residue_degrees: tuple[int, ...]
-    ramified: bool
+PrimeSplitting = namedtuple("PrimeSplitting", "p factors residue_degrees ramified")
+PrimeSplitting.__doc__ = """Shape of ``p`` in K from the residue record: the
+factors of f mod p with multiplicities (the ramification indices when
+Z[x] is maximal at p) and their residue degrees.  ``ramified`` is
+p | disc(f), for monic f exactly a repeated factor; whether p ramifies
+in K itself or only divides the index needs the Dedekind criterion.
+``factors`` holds (ascending coefficients, multiplicity) pairs."""
 
 
 def splitting_type(f: IntPoly, p: int) -> PrimeSplitting:
@@ -434,12 +431,9 @@ def _integral_reduction(a: Sequence[Coord], p: int) -> list[int]:
     return _reduce(a, p)
 
 
-class Defect(NamedTuple):
-    """Total residue degree of the primes above p containing the
-    element; ``all_primes`` marks the degenerate zero element."""
-
-    k: int
-    all_primes: bool
+Defect = namedtuple("Defect", "k all_primes")
+Defect.__doc__ = """Total residue degree of the primes above p containing
+the element; ``all_primes`` marks the degenerate zero element."""
 
 
 def k_of_p(a: Sequence[Coord], f: IntPoly, p: int) -> Defect:
@@ -620,16 +614,9 @@ FACT_BISECTION_TRANSFERS = "bisection_transfers"
 GROUP_KINDS = ("symmetric", "alternating", "cyclic", "klein", "dihedral", "other")
 
 
-class _FieldInteractionFields(NamedTuple):
-    deg_K: Optional[int] = None
-    deg_F: Optional[int] = None
-    deg_F_tilde: Optional[int] = None
-    galois_group_kind: Optional[str] = None
-    disc_K: Optional[int] = None
-    disc_F: Optional[int] = None
-
-
-class FieldInteraction(_FieldInteractionFields):
+class FieldInteraction(namedtuple(
+    "FieldInteraction", "deg_K deg_F deg_F_tilde galois_group_kind disc_K disc_F", defaults=(None,) * 6,
+)):
     """Coarse invariants of a coefficient field K over a base field F.
 
     ``deg_K``/``deg_F`` are the absolute degrees, ``deg_F_tilde`` the

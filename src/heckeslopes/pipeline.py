@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
 
 from . import DataError, SchemaError
 from .numberfield import (
@@ -120,31 +120,25 @@ _TST_RE = re.compile(r"tST\(([0-9]+)\)")  # fullmatch: ASCII digits, no trailing
 _INT_RE = re.compile(r"[-+]?[0-9]+")  # read alike by int and Fraction on every Python
 
 
-class ApEntry(NamedTuple):
-    p: int
-    split_in_F: bool
-    a: tuple[Union[int, Fraction], ...]  # int unless written "a/b", "3.0", ...
+ApEntry = namedtuple("ApEntry", "p split_in_F a")
+ApEntry.__doc__ = """One listed prime; the coordinates ``a`` are ints unless
+written "a/b", "3.0", ..., which are ``Fraction``s."""
 
 
-class FormRecord(NamedTuple):
+class FormRecord(namedtuple(
+    "FormRecord",
+    "label d field_poly level_norm weight hecke_poly cm"
+    " k_f_circ d_tilde assumptions galois_action interact eigenvalues",
+    defaults=(None, None, frozenset(), None, None, ()),
+)):
     """One eigenform worth of data plus the optional metadata that the
     guarantee classifier can exploit.  ``k_f`` is the Hecke field
     degree, ``k_f_circ`` the degree of its self-twist-invariant
-    subfield when known (never inferred)."""
+    subfield when known (never inferred).  ``galois_action`` is a
+    ``PermutationGroup``, ``interact`` a ``FieldInteraction`` and
+    ``eigenvalues`` a tuple of ``ApEntry``s."""
 
-    label: str
-    d: int
-    field_poly: tuple[int, ...]
-    level_norm: int
-    weight: tuple[int, ...]
-    hecke_poly: tuple[int, ...]
-    cm: bool
-    k_f_circ: Optional[int] = None
-    d_tilde: Optional[int] = None
-    assumptions: frozenset[str] = frozenset()
-    galois_action: Optional[PermutationGroup] = None
-    interact: Optional[FieldInteraction] = None
-    eigenvalues: tuple[ApEntry, ...] = ()
+    __slots__ = ()
 
     @property
     def k_f(self) -> int:
@@ -155,44 +149,24 @@ class FormRecord(NamedTuple):
         return self.weight[0]
 
 
-class PrimeReport(NamedTuple):
-    """Outcome for one listed prime (the JSON report adds ``weil_ok``).
-    Skipped rows leave the numeric fields at ``None``."""
+PrimeReport = namedtuple("PrimeReport", "p status k_p newton hodge ordinary half_bound", defaults=(None,) * 5)
+PrimeReport.__doc__ = """Outcome for one listed prime (the JSON report adds ``weil_ok``).
+Skipped rows leave the numeric fields at ``None``.  ``newton`` and
+``hodge`` are ``SlopeMultiset``s."""
 
-    p: int
-    status: str
-    k_p: Optional[int] = None
-    newton: Optional[SlopeMultiset] = None
-    hodge: Optional[SlopeMultiset] = None
-    ordinary: Optional[bool] = None
-    half_bound: Optional[str] = None
+FormSummary = namedtuple(
+    "FormSummary", "n_primes n_analyzed n_ordinary ordinary_density exceptional_primes kp_counts prime_bound"
+)
+FormSummary.__doc__ = """Counts over one form's primes.  ``ordinary_density`` (a
+``Fraction``) and ``prime_bound`` are ``None`` when no prime was
+analyzed; ``kp_counts`` holds the sorted (k(p), count) pairs."""
 
+FormAnalysis = namedtuple("FormAnalysis", "record reports summary")
 
-class FormSummary(NamedTuple):
-    n_primes: int
-    n_analyzed: int
-    n_ordinary: int
-    ordinary_density: Optional[Fraction]
-    exceptional_primes: tuple[int, ...]
-    kp_counts: tuple[tuple[int, int], ...]
-    prime_bound: Optional[int]
-
-
-class FormAnalysis(NamedTuple):
-    record: FormRecord
-    reports: tuple[PrimeReport, ...]
-    summary: FormSummary
-
-
-class Guarantee(NamedTuple):
-    """What the metadata alone proves: a bound on the defect k(p) valid
-    for all sufficiently large analyzed primes, and the density class
-    of the ordinary locus it implies."""
-
-    case: str
-    bound_on_kp: Fraction
-    density_class: str
-    conditional_on: frozenset[str] = frozenset()
+Guarantee = namedtuple("Guarantee", "case bound_on_kp density_class conditional_on", defaults=(frozenset(),))
+Guarantee.__doc__ = """What the metadata alone proves: a bound on the defect k(p) valid
+for all sufficiently large analyzed primes, and the density class of
+the ordinary locus it implies."""
 
 
 # ---------------------------------------------------------------------
@@ -248,7 +222,7 @@ def _positive_int(label, field, value):
     return value
 
 
-def record_from_dict(obj: dict, position: int = 0, *, shared: Optional[dict] = None) -> FormRecord:
+def record_from_dict(obj: dict, position: int = 0, *, shared: dict | None = None) -> FormRecord:
     """Validate one record object.  ``shared`` maps each polynomial, a
     tuple of ints, to its ``Field`` and (degree, generator image tuples)
     to a group, so records listing one share it, (degree, generator
@@ -554,7 +528,7 @@ def guarantee(rec: FormRecord) -> Guarantee:
         return Guarantee(CASE_SMALL_FIELD, Fraction(0), DENSITY_PRINCIPAL)
 
     k_f, k_f_circ, group = rec.k_f, rec.k_f_circ, rec.galois_action
-    sigma: Optional[Fraction] = None
+    sigma: Fraction | None = None
     if {FACT_SLOPE_ZERO_OVER_F, FACT_SLOPE_ZERO_OVER_F_TILDE} & facts:
         # a zero full-orbit slope means some element is a full cycle,
         # which zeroes the min-orbit slope as well
@@ -614,7 +588,7 @@ def guarantee(rec: FormRecord) -> Guarantee:
 _TSV_COLUMNS = ("label", "p", "status", "k_p", "ordinary", "newton_vertices", "half_bound")
 
 
-def _bool_str(b: Optional[bool]) -> str:
+def _bool_str(b: bool | None) -> str:
     return "" if b is None else ("true" if b else "false")
 
 

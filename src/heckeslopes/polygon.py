@@ -32,11 +32,11 @@ crystalline Frobenius slopes of eigenforms, in closed form, and
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Optional, Union
 
-Rational = Union[int, Fraction, str]
+Rational = int | Fraction | str
 
 __all__ = [
     "SlopeMultiset",
@@ -177,7 +177,7 @@ class SlopeMultiset:
         ends = self._walk_below(other)
         return ends is not None and ends[0] == ends[1]
 
-    def _walk_below(self, other: "SlopeMultiset") -> Optional[tuple[Fraction, Fraction]]:
+    def _walk_below(self, other: "SlopeMultiset") -> tuple[Fraction, Fraction] | None:
         """The right-endpoint heights of both polygons when ``self.leq(other)``,
         else None.  Both polygons are linear between the union of their
         breakpoints, so the heights are compared only there, in one

@@ -76,12 +76,12 @@ both need nothing outside the standard library.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import asin, exp, factorial, lgamma, log, pi, prod, sqrt, tanh
 from operator import mul
-from typing import NamedTuple, Optional
 
 __all__ = [
     "density",
@@ -125,18 +125,10 @@ def cdf(y: float) -> float:
     return 0.5 + y * sqrt(4.0 - y * y) / (4.0 * pi) + asin(y / 2.0) / pi
 
 
-class _CEstimateFields(NamedTuple):
-    k: int
-    t: int
-    value: float
-    abs_error: float
-    method: str
-    samples_or_nodes: int
-    seed: Optional[int] = None
-
-
-class CEstimate(_CEstimateFields):
-    """One tail-constant value with an explicit error bound.
+class CEstimate(namedtuple(
+    "CEstimate", "k t value abs_error method samples_or_nodes seed", defaults=(None,),
+)):
+    """One tail-constant value with an explicit error bound, both floats.
 
     ``abs_error`` is the tail, working-precision and rounding bounds of
     the module docstring for the series, and a floating-point bound for

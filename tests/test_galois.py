@@ -114,6 +114,34 @@ class TestPermutation:
         assert galois._walk_summary([], n)[:2] == (longest, shortest)
 
 
+@st.composite
+def block_products(draw):
+    """(degree, generator images), each generator acting on one block of
+    points and fixing the rest.  Disjoint blocks of at most 4 points give
+    a direct product of the blocks' groups, scattered over the base by a
+    random relabeling; overlapping blocks (degree at most 7, so the
+    reference closure stays small) give whatever they generate together."""
+    disjoint = draw(st.booleans())
+    degree = draw(st.integers(1, 10 if disjoint else 7))
+    if disjoint:
+        points, blocks = draw(st.permutations(range(degree))), []
+        while points:
+            size = draw(st.integers(1, 4))
+            blocks.append(points[:size])
+            points = points[size:]
+    else:
+        block = st.lists(st.integers(0, degree - 1), min_size=1, max_size=4, unique=True)
+        blocks = draw(st.lists(block, min_size=1, max_size=3))
+    images = []
+    for block in blocks:
+        for shuffled in draw(st.lists(st.permutations(block), min_size=1, max_size=2)):
+            image = list(range(degree))
+            for a, b in zip(block, shuffled):
+                image[a] = b
+            images.append(image)
+    return degree, images
+
+
 class TestGroupClosure:
     @pytest.mark.parametrize(
         "group,order",
@@ -204,6 +232,20 @@ class TestGroupClosure:
                 PermutationGroup(degree, gens, cap=order - 1).elements
             assert str(raised.value) == str(reference.value)
             assert str(raised.value) == f"closure exceeds cap of {order - 1} elements"
+
+    @settings(deadline=None)
+    @given(block_products())
+    @example((6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]))
+    @example((4, [[0, 2, 1, 3], [1, 0, 2, 3]]))
+    def test_block_products_match_reference_closure(self, degree_and_images):
+        # a generator that fixes a level's base point and every point its
+        # representatives move passes that level; these products are
+        # where that happens
+        degree, images = degree_and_images
+        expected = bfs_closure([Permutation(im) for im in images], degree, cap=10**6)
+        group = PermutationGroup(degree, images)
+        assert group.order == len(expected)
+        assert group.elements == expected
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_orders_of_transitive_families(self, n):
